@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -62,7 +63,9 @@ class BucketQueue {
   void push(const OpenEntry& e) {
     const std::int64_t key = key_for(e.f);
     Bucket& b = buckets_[static_cast<std::size_t>(key)];
+    const std::size_t cap = b.capacity();
     b.push_back({e.g, e.index});
+    entry_capacity_.entries += b.capacity() - cap;
     std::push_heap(b.begin(), b.end(), deeper_last);
     if (key < cursor_) cursor_ = key;
     ++size_;
@@ -157,7 +160,16 @@ class BucketQueue {
     return out;
   }
 
+  /// Bucket array plus every bucket's entry capacity. O(1): bucket
+  /// capacities only grow, and only in push(), which keeps the running sum.
   std::size_t memory_bytes() const noexcept {
+    return buckets_.capacity() * sizeof(Bucket) +
+           entry_capacity_.entries * sizeof(Entry);
+  }
+
+  /// memory_bytes() recounted from scratch, O(buckets) — tests check the
+  /// running sum against it.
+  std::size_t recount_memory_bytes() const noexcept {
     std::size_t bytes = buckets_.capacity() * sizeof(Bucket);
     for (const Bucket& b : buckets_) bytes += b.capacity() * sizeof(Entry);
     return bytes;
@@ -179,6 +191,19 @@ class BucketQueue {
     StateIndex index;
   };
   using Bucket = std::vector<Entry>;
+
+  /// Sum of the buckets' capacities, in entries. A move zeroes the source,
+  /// as it empties the source's bucket array.
+  struct CapacitySum {
+    std::size_t entries = 0;
+    CapacitySum() = default;
+    CapacitySum(CapacitySum&& o) noexcept
+        : entries(std::exchange(o.entries, 0)) {}
+    CapacitySum& operator=(CapacitySum&& o) noexcept {
+      entries = std::exchange(o.entries, 0);
+      return *this;
+    }
+  };
 
   /// Max-heap order on (g, -index): pop_heap yields the deepest entry,
   /// ties by smallest index — OpenList::before's exact tie-break.
@@ -222,6 +247,7 @@ class BucketQueue {
   KeyScale scale_;
   double inv_scale_ = 1.0;
   std::vector<Bucket> buckets_;
+  CapacitySum entry_capacity_;
   std::int64_t cursor_ = 0;
   std::int64_t lo_key_ = 0;   ///< lowest key ever occupied
   std::int64_t hi_key_ = -1;  ///< highest key ever occupied

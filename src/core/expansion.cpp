@@ -161,10 +161,13 @@ void ExpansionContext::replay_state(const StateArena& arena, StateIndex i) {
 void ExpansionContext::load(const StateArena& arena, StateIndex index) {
   reset();
 
-  // Walk to the root, then replay forward.
+  // Walk to the root, then replay forward. The walk touches only hot
+  // records; prefetching each state's cold finish time lets the replay
+  // check below read it from cache instead of missing once per step.
   chain_.clear();
   for (StateIndex i = index; i != kNoParent; i = arena.hot(i).parent) {
     if (arena.hot(i).is_root()) break;
+    arena.prefetch_finish(i);
     chain_.push_back(i);
   }
   for (auto it = chain_.rbegin(); it != chain_.rend(); ++it)
@@ -194,7 +197,8 @@ void ExpansionContext::move_to(const StateArena& arena, StateIndex index) {
   // Walk the target's ancestry until it meets the loaded path: the first
   // ancestor that sits on path_ at its own depth is the LCA (equal arena
   // index == equal state == equal chain below it). Everything walked over
-  // is the divergent suffix to replay.
+  // is the divergent suffix to replay (its finish times are prefetched for
+  // the replay check, as in load()).
   chain_.clear();
   std::uint32_t lca_depth = 0;
   for (StateIndex i = index; !arena.hot(i).is_root();
@@ -204,6 +208,7 @@ void ExpansionContext::move_to(const StateArena& arena, StateIndex index) {
       lca_depth = d;
       break;
     }
+    arena.prefetch_finish(i);
     chain_.push_back(i);
   }
 
@@ -238,7 +243,53 @@ Expander::Expander(const SearchProblem& problem, const SearchConfig& config)
   h_scratch_.assign(2 * std::size_t{problem.num_nodes()}, 0.0);
   proc_rep_.assign(problem.num_procs(), 0);
   class_taken_.assign(problem.num_nodes(), false);
+  candidates_.reserve(std::size_t{problem.num_nodes()} * problem.num_procs());
   ctx_.set_stats(&stats_);
+}
+
+bool Expander::evaluate_child(NodeId node, ProcId proc,
+                              double prune_bound) {
+  const double st = ctx_.start_time(node, proc);
+  const double ft =
+      st + problem_->machine().exec_time(problem_->graph().weight(node), proc);
+  const double child_g = std::max(ctx_.g_, ft);
+
+  // Temporarily extend the context so the heuristic sees the child state.
+  // Only the fields ScheduleView reads are touched; the ready list, undo
+  // stack, and processor-ready times stay at the parent state.
+  const NodeId saved_nmax = ctx_.nmax_;
+  const double saved_g = ctx_.g_;
+  ctx_.finish_[node] = ft;
+  ctx_.proc_of_[node] = proc;
+  ctx_.g_ = child_g;
+  if (ft > saved_g || saved_nmax == dag::kInvalidNode) ctx_.nmax_ = node;
+  ctx_.depth_ += 1;
+
+  const double h =
+      evaluate_h(config_.h, *problem_, ctx_.view(), h_scratch_.data()) *
+      config_.h_weight;
+
+  // Restore the context before any early return.
+  ctx_.finish_[node] = 0.0;
+  ctx_.proc_of_[node] = machine::kInvalidProc;
+  ctx_.g_ = saved_g;
+  ctx_.nmax_ = saved_nmax;
+  ctx_.depth_ -= 1;
+
+  const double f = child_g + h;
+  if (config_.prune.upper_bound) {
+    const bool over = config_.prune.strict_upper_bound
+                          ? f > prune_bound + 1e-9
+                          : f >= prune_bound - 1e-9;
+    if (over) {
+      ++stats_.pruned_upper_bound;
+      return false;
+    }
+  }
+
+  candidates_.push_back({extend_signature(parent_sig_, node, proc, ft), ft,
+                         child_g, h, node, proc});
+  return true;
 }
 
 double Expander::state_h(const StateArena& arena, StateIndex index) {

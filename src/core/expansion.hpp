@@ -195,12 +195,18 @@ class Expander {
   /// (copy it or re-read through the arena to keep it). `seen` is the
   /// pluggable duplicate-detection probe — any type with
   /// `bool insert(const util::Key128&)` returning true for a first-seen
-  /// signature: the serial engines pass a thread-local FlatSet128, the
+  /// signature, and optionally `void prefetch(const util::Key128&)` as a
+  /// cache hint: the serial engines pass a thread-local FlatSet128, the
   /// parallel transports pass their mode's structure (PPE-local set, or
   /// the hash-sharded global table). `prune_bound` is the current
   /// upper-bound threshold (the incumbent makespan, or the static U in
   /// paper-fidelity mode); children with f >= bound (f > bound when
   /// strict_upper_bound) are discarded.
+  ///
+  /// Two phases: every candidate's h and prune decision is made before the
+  /// first `seen.insert`; the inserts, arena appends and emits then run in
+  /// candidate order (ready-rank order, processors ascending), so `seen`,
+  /// `arena` and `emit` observe exactly the sequence of a fused pass.
   template <typename Seen, typename Emit>
   void expand(StateArena& arena, Seen& seen, StateIndex index,
               double prune_bound, Emit&& emit);
@@ -231,12 +237,21 @@ class Expander {
   void repatch_h(StateArena& arena);
 
  private:
-  /// Build the child state for (node -> proc) on top of the loaded context.
-  /// Returns false if the child was pruned.
-  template <typename Seen, typename Emit>
-  bool try_emit_child(StateArena& arena, Seen& seen, StateIndex parent_index,
-                      NodeId node, ProcId proc, double prune_bound,
-                      Emit&& emit);
+  /// A successor that survived upper-bound pruning, waiting for its
+  /// CLOSED probe (phase 2 of expand()).
+  struct Candidate {
+    util::Key128 sig;
+    double finish;
+    double g;
+    double h;
+    NodeId node;
+    ProcId proc;
+  };
+
+  /// Phase 1 for (node -> proc): times, h and the upper-bound test on top
+  /// of the loaded context. A survivor is appended to candidates_ (returns
+  /// true); a pruned child only bumps its counter.
+  bool evaluate_child(NodeId node, ProcId proc, double prune_bound);
 
   const SearchProblem* problem_;
   SearchConfig config_;
@@ -245,6 +260,7 @@ class Expander {
   std::vector<double> h_scratch_;
   std::vector<ProcId> proc_rep_;
   std::vector<bool> class_taken_;
+  std::vector<Candidate> candidates_;  ///< phase-1 survivors, in order
   /// Signature of the state being expanded, copied once per expand (a
   /// reference into the cold array would dangle across arena growth).
   util::Key128 parent_sig_{};
@@ -279,6 +295,11 @@ void Expander::expand(StateArena& arena, Seen& seen, StateIndex index,
     class_taken_.assign(problem_->num_nodes(), false);
   }
 
+  // Phase 1: evaluate every (ready node x representative processor)
+  // candidate — times, h, upper-bound test, signature — and prefetch the
+  // CLOSED slot of each survivor (when `seen` offers prefetch()), so the
+  // probes below find their slots in cache instead of stalling on each.
+  candidates_.clear();
   ctx_.for_each_ready([&](const NodeId n) {
     if (config_.prune.node_equivalence) {
       const NodeId rep = equiv.representative(n);
@@ -293,73 +314,36 @@ void Expander::expand(StateArena& arena, Seen& seen, StateIndex index,
         ++stats_.skipped_isomorphism;
         continue;
       }
-      try_emit_child(arena, seen, index, n, q, prune_bound, emit);
+      if (evaluate_child(n, q, prune_bound) &&
+          config_.prune.duplicate_detection) {
+        if constexpr (requires { seen.prefetch(util::Key128{}); })
+          seen.prefetch(candidates_.back().sig);
+      }
     }
   });
-}
 
-template <typename Seen, typename Emit>
-bool Expander::try_emit_child(StateArena& arena, Seen& seen,
-                              StateIndex parent_index, NodeId node,
-                              ProcId proc, double prune_bound, Emit&& emit) {
-  const double st = ctx_.start_time(node, proc);
-  const double ft =
-      st + problem_->machine().exec_time(problem_->graph().weight(node), proc);
-  const double child_g = std::max(ctx_.g_, ft);
-
-  // Temporarily extend the context so the heuristic sees the child state.
-  // Only the fields ScheduleView reads are touched; the ready list, undo
-  // stack, and processor-ready times stay at the parent state.
-  const NodeId saved_nmax = ctx_.nmax_;
-  const double saved_g = ctx_.g_;
-  ctx_.finish_[node] = ft;
-  ctx_.proc_of_[node] = proc;
-  ctx_.g_ = child_g;
-  if (ft > saved_g || saved_nmax == dag::kInvalidNode) ctx_.nmax_ = node;
-  ctx_.depth_ += 1;
-
-  const double h =
-      evaluate_h(config_.h, *problem_, ctx_.view(), h_scratch_.data()) *
-      config_.h_weight;
-
-  // Restore the context before any early return.
-  ctx_.finish_[node] = 0.0;
-  ctx_.proc_of_[node] = machine::kInvalidProc;
-  ctx_.g_ = saved_g;
-  ctx_.nmax_ = saved_nmax;
-  ctx_.depth_ -= 1;
-
-  const double f = child_g + h;
-  if (config_.prune.upper_bound) {
-    const bool over = config_.prune.strict_upper_bound
-                          ? f > prune_bound + 1e-9
-                          : f >= prune_bound - 1e-9;
-    if (over) {
-      ++stats_.pruned_upper_bound;
-      return false;
+  // Phase 2: CLOSED probe, arena append and emit, in candidate order —
+  // the same order of side effects as a single fused pass.
+  const std::uint32_t child_depth = ctx_.depth_ + 1;
+  for (const Candidate& c : candidates_) {
+    if (config_.prune.duplicate_detection && !seen.insert(c.sig)) {
+      ++stats_.duplicates_dropped;
+      continue;
     }
+    State child;
+    child.sig = c.sig;
+    child.finish = c.finish;
+    child.g = c.g;
+    child.h = c.h;
+    child.parent = index;
+    child.node = c.node;
+    child.proc = c.proc;
+    child.depth = child_depth;
+
+    const StateIndex idx = arena.add(child);
+    ++stats_.generated;
+    emit(idx, child);
   }
-
-  const util::Key128 sig = extend_signature(parent_sig_, node, proc, ft);
-  if (config_.prune.duplicate_detection && !seen.insert(sig)) {
-    ++stats_.duplicates_dropped;
-    return false;
-  }
-
-  State child;
-  child.sig = sig;
-  child.finish = ft;
-  child.g = child_g;
-  child.h = h;
-  child.parent = parent_index;
-  child.node = node;
-  child.proc = proc;
-  child.depth = ctx_.depth_ + 1;
-
-  const StateIndex idx = arena.add(child);
-  ++stats_.generated;
-  emit(idx, child);
-  return true;
 }
 
 /// Rebuild the complete schedule a goal state denotes.

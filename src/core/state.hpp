@@ -151,6 +151,13 @@ class StateArena {
     return cold_[i].finish;
   }
 
+  /// Start loading the stored finish time of state `i` into cache ahead
+  /// of a finish(i) read — the context replay's check (a hint only).
+  void prefetch_finish(StateIndex i) const noexcept {
+    OPTSCHED_ASSERT(i < cold_.size());
+    __builtin_prefetch(&cold_[i].finish);
+  }
+
   /// Re-derive f after recomputing h — used only to patch imported states
   /// after a PPE transfer so re-sharing them sends the right bound.
   void patch_h(StateIndex i, double h) {

@@ -678,8 +678,8 @@ class DistWorker {
 
 struct Event {
   enum Kind { kFrame, kEof, kFail };
-  Kind kind;
-  std::uint32_t rank;
+  Kind kind = kFrame;
+  std::uint32_t rank = 0;
   wire::Frame frame;  ///< kFrame: binary frame, or JSON (parsed in `json`)
   Json json;          ///< kFrame with frame.type == kJson
   std::string error;  ///< kFail
@@ -800,9 +800,9 @@ class DistCoordinator {
         ev.frame = std::move(fr);
         push_event(std::move(ev));
       }
-      push_event({Event::kEof, rank, {}, {}, {}});
+      push_signal(Event::kEof, rank);
     } catch (const std::exception& e) {
-      push_event({Event::kFail, rank, {}, {}, e.what()});
+      push_signal(Event::kFail, rank, e.what());
     }
   }
 
@@ -829,7 +829,7 @@ class DistCoordinator {
     } catch (const std::exception& e) {
       // The reader's EOF/Fail event carries the failure; a send error
       // here is only reported if the reader somehow stays healthy.
-      push_event({Event::kFail, rank, {}, {}, e.what()});
+      push_signal(Event::kFail, rank, e.what());
     }
   }
 
@@ -855,6 +855,19 @@ class DistCoordinator {
       events_.push_back(std::move(ev));
     }
     ev_cv_.notify_one();
+  }
+
+  /// Queue a frameless event (kEof, or kFail with its error). Built as a
+  /// named local rather than a braced temporary: GCC 12 cannot see through
+  /// the temporary's Frame member on the exception path and reports a
+  /// -Wmaybe-uninitialized false positive.
+  void push_signal(Event::Kind kind, std::uint32_t rank,
+                   std::string error = {}) {
+    Event ev;
+    ev.kind = kind;
+    ev.rank = rank;
+    ev.error = std::move(error);
+    push_event(std::move(ev));
   }
 
   std::optional<Event> wait_event(int timeout_ms) {

@@ -62,6 +62,13 @@ class FlatSet128 {
     }
   }
 
+  /// Start loading `key`'s home slot into cache ahead of an insert() or
+  /// contains() of the same key. A hint only: contents never change, and a
+  /// rehash in between just makes the hint useless.
+  void prefetch(const Key128& key) const noexcept {
+    __builtin_prefetch(&slots_[index_of(key)]);
+  }
+
   void clear() {
     for (auto& s : slots_) s = Key128{};
     size_ = 0;

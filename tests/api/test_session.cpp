@@ -72,8 +72,9 @@ TEST(SolveSession, WarmResolveChainBitAgreesWithCold) {
     // A machine change invalidates every stored state, and the repaired
     // seed may not beat the fresh static bound — reuse is then honestly
     // reported as absent. Graph-only deltas must reuse the arena.
-    if (delta.kind != DeltaKind::kProcAdd)
+    if (delta.kind != DeltaKind::kProcAdd) {
       EXPECT_TRUE(warm.stats.warm_start_used) << to_string(delta.kind);
+    }
     EXPECT_EQ(session.last().makespan, warm.makespan);
   }
   // ProcAdd grew the machine inside the session.

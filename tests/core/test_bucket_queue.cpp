@@ -220,6 +220,47 @@ TEST(BucketQueue, ClearResets) {
   EXPECT_EQ(q.pop().index, 2u);
 }
 
+/// memory_bytes() is a running sum; after every kind of mutation it must
+/// equal a from-scratch recount, on both sides of a move.
+TEST(BucketQueue, MemoryBytesMatchesRecount) {
+  util::Rng rng(4242);
+  BucketQueue q(grid(1), 400.0);
+  const std::size_t empty_bytes = q.memory_bytes();
+  EXPECT_EQ(empty_bytes, q.recount_memory_bytes());
+  StateIndex next = 0;
+  const auto random_entry = [&] {
+    return OpenEntry{static_cast<double>(rng.uniform_u64(0, 800)) / 2.0,
+                     static_cast<double>(rng.uniform_u64(0, 20)), next++};
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t op = rng.uniform_u64(0, 99);
+    if (op < 60 || q.empty()) {
+      q.push(random_entry());
+    } else if (op < 90) {
+      q.pop();
+    } else if (op < 94) {
+      q.prune_at_least(static_cast<double>(rng.uniform_u64(100, 800)) / 2.0);
+    } else if (op < 97) {
+      q.extract_surplus(rng.uniform_u64(1, 64));
+    } else if (op < 98) {
+      q.clear();
+    } else if (op < 99) {
+      BucketQueue moved(std::move(q));
+      ASSERT_EQ(q.memory_bytes(), q.recount_memory_bytes());
+      EXPECT_EQ(q.memory_bytes(), 0u);
+      q = std::move(moved);
+      ASSERT_EQ(moved.memory_bytes(), moved.recount_memory_bytes());
+    } else {
+      BucketQueue other(grid(1), 400.0);
+      other.push(random_entry());
+      q = std::move(other);  // drops q's buckets, takes other's
+      ASSERT_EQ(other.memory_bytes(), other.recount_memory_bytes());
+    }
+    ASSERT_EQ(q.memory_bytes(), q.recount_memory_bytes()) << "step " << i;
+  }
+  EXPECT_GT(q.memory_bytes(), empty_bytes);  // bucket storage is counted
+}
+
 TEST(BucketQueue, AdmissibleRejectsBadScalesAndSpans) {
   KeyScale bad;
   bad.exact = false;

@@ -9,17 +9,26 @@
 #include <cstdio>
 #include <fstream>
 
+#include <unistd.h>
+
 #include "workload/scenario.hpp"
 
 namespace optsched::workload {
 namespace {
 
-/// Write a small STG file once for the stg-family cases.
+/// Write a small STG file once for the stg-family cases. ctest runs every
+/// case in its own process, and each process writes the fixture at
+/// startup, so it is written under a private name and renamed into place:
+/// a concurrently running case never reads a half-written file.
 std::string stg_fixture_path() {
   static const std::string path = [] {
     const std::string p = ::testing::TempDir() + "roundtrip_sample.stg";
-    std::ofstream out(p);
-    out << "5\n0 0 0\n1 4 1 0\n2 3 1 0\n3 5 2 1 2\n4 0 1 3\n";
+    const std::string tmp = p + "." + std::to_string(::getpid());
+    {
+      std::ofstream out(tmp);
+      out << "5\n0 0 0\n1 4 1 0\n2 3 1 0\n3 5 2 1 2\n4 0 1 3\n";
+    }
+    std::rename(tmp.c_str(), p.c_str());
     return p;
   }();
   return path;
