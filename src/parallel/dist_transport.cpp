@@ -11,8 +11,9 @@
 // would deadlock). The event loop owns all search logic — incumbent,
 // budgets, termination — so none of it needs locks.
 //
-// Worker side is single-threaded: drain frames (non-blocking), expand
-// the best local state, ship remote-owned children in batches, repeat;
+// Worker side is single-threaded and runs the shared search kernel
+// (core/search_kernel.hpp): expand the best local state, ship
+// remote-owned children in batches, drain frames every few expansions;
 // park in poll() when the frontier is empty or dominated.
 //
 // Wire path (PR 10): under the negotiated wire v2 the hot frames travel
@@ -49,9 +50,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/bucket_queue.hpp"
 #include "core/expansion.hpp"
 #include "core/heuristics.hpp"
 #include "core/open_list.hpp"
+#include "core/search_kernel.hpp"
 #include "core/signature.hpp"
 #include "parallel/dist_protocol.hpp"
 #include "parallel/wire.hpp"
@@ -68,6 +71,7 @@ namespace optsched::par {
 namespace {
 
 using core::Expander;
+using core::KernelGuard;
 using core::kNoParent;
 using core::OpenEntry;
 using core::OpenList;
@@ -75,6 +79,7 @@ using core::SearchProblem;
 using core::State;
 using core::StateArena;
 using core::StateIndex;
+using core::StepAction;
 using dag::NodeId;
 using machine::ProcId;
 using util::Json;
@@ -121,9 +126,47 @@ std::uint64_t get_u64(const Json& j, const char* key) {
 
 // ---- worker --------------------------------------------------------------
 
-/// One worker process: owns its signature shard, expands from a plain
-/// 4-ary heap (the bucket calendar's key-span accounting is not worth
-/// re-plumbing per process; dist reports queue_kind = "heap").
+/// The worker's OPEN list: the bucket queue when core::choose_queue admits
+/// it for this instance and config, the 4-ary heap otherwise — the serial
+/// engine's rule, and both pop in the same (f, -g, index) order.
+class Frontier {
+ public:
+  void select(const SearchProblem& problem, const core::SearchConfig& config) {
+    const core::QueueChoice choice = core::choose_queue(problem, config);
+    if (choice.use_bucket) bucket_.emplace(problem.key_scale(), choice.max_f);
+  }
+
+  bool empty() const { return bucket_ ? bucket_->empty() : heap_.empty(); }
+  std::size_t size() const { return bucket_ ? bucket_->size() : heap_.size(); }
+  double min_f() const { return bucket_ ? bucket_->top().f : heap_.top().f; }
+
+  void push(const OpenEntry& e) {
+    if (bucket_)
+      bucket_->push(e);
+    else
+      heap_.push(e);
+  }
+
+  OpenEntry pop() { return bucket_ ? bucket_->pop() : heap_.pop(); }
+
+  void clear() {
+    if (bucket_) bucket_->clear();
+    heap_.clear();
+  }
+
+  std::size_t memory_bytes() const {
+    return (bucket_ ? bucket_->memory_bytes() : 0) + heap_.memory_bytes();
+  }
+
+ private:
+  std::optional<core::BucketQueue> bucket_;
+  OpenList heap_;
+};
+
+/// One worker process: owns its signature shard and searches it on the
+/// shared kernel (core/search_kernel.hpp). DistWorker is the kernel
+/// policy; the socket work rides its hooks — frames are drained every
+/// kDrainPeriod expansions and while parked on an empty frontier.
 class DistWorker {
  public:
   DistWorker(int fd, std::uint32_t rank) : stream_(fd), rank_(rank) {}
@@ -146,7 +189,7 @@ class DistWorker {
         if (static_cast<std::uint32_t>(std::atoi(die)) == rank_)
           ::raise(SIGKILL);
 
-      main_loop();
+      search();
       send_bye();
       return 0;
     } catch (const std::exception& e) {
@@ -161,7 +204,114 @@ class DistWorker {
     }
   }
 
+  // ---- kernel policy interface -------------------------------------------
+
+  bool keep_searching() const { return !stop_; }
+
+  bool pop(StateIndex& out) {
+    // Fast-drop a fully dominated frontier (everything >= incumbent).
+    if (!open_.empty() && open_.min_f() >= incumbent_ - 1e-9) open_.clear();
+    if (open_.empty()) return false;
+    out = open_.pop().index;
+    return true;
+  }
+
+  /// Empty frontier: ship every outbox before the idle report (a
+  /// quiescent stop must never strand outbox states), report idle, park
+  /// until a frame arrives, and take it in. Always continues the loop —
+  /// either an import refills OPEN or a stop frame ends keep_searching().
+  bool on_empty() {
+    flush_all();
+    int park_ms = 100;
+    const bool owed =
+        last_status_idle_ != 1 || last_status_rcvd_ != rcvd_batches_;
+    if (owed) {
+      // Exponential backoff on repeat idle statuses (v2): the first
+      // report after going idle is immediate; a flood of duplicate
+      // imports only bumps rcvd, and those reports coalesce under a
+      // growing delay. v1 reports every change immediately.
+      const auto waited = static_cast<std::uint64_t>(idle_backoff_.micros());
+      if (wire_ver_ < 2 || waited >= idle_backoff_us_) {
+        send_status(/*idle=*/true);
+        idle_backoff_us_ = idle_backoff_us_ == 0
+                               ? kIdleBackoffStartUs
+                               : std::min(idle_backoff_us_ * 2,
+                                          kIdleBackoffCapUs);
+        idle_backoff_.reset();
+      } else {
+        // Wake in time to send the delayed report even if no frame
+        // arrives — termination must not wait out the full park.
+        park_ms = static_cast<int>((idle_backoff_us_ - waited) / 1000 + 1);
+      }
+    }
+    pump_writes();
+    wait_for_frame(park_ms);
+    drain_frames();
+    return true;
+  }
+
+  /// Goals never enter OPEN (they are offered when generated or
+  /// imported), so the only filter is the live incumbent.
+  StepAction classify(StateIndex idx) const {
+    return arena_.hot(idx).f >= incumbent_ - 1e-9 ? StepAction::kSkip
+                                                  : StepAction::kExpand;
+  }
+
+  void on_goal(StateIndex) {}  // unreachable: classify never says kGoal
+
+  void expand(StateIndex idx) {
+    idle_backoff_us_ = 0;  // real work: next idle report is immediate
+    ShardSeen seen{this};
+    const double bound = config_.prune.strict_upper_bound
+                             ? problem_->upper_bound()
+                             : incumbent_;
+    expander_->expand(arena_, seen, idx, bound,
+                      [&](StateIndex child_idx, const State& child) {
+                        accept_child(child_idx, child);
+                      });
+  }
+
+  void after_expand() {
+    const std::uint64_t n = expander_->stats().expanded;
+    if (n % kStatusPeriod == 0) {
+      if (wire_ver_ < 2) flush_all();  // v1 baseline: flush per status
+      send_status(/*idle=*/false);
+    }
+    pump_writes();
+    if (n % kDrainPeriod == 0) {
+      // Age-based flush (wire v2): pending exports never sit much longer
+      // than flush_us_, so a neighbour starved for work is fed promptly
+      // even when no outbox reaches the size threshold.
+      if (wire_ver_ >= 2 && pending_states_ > 0 &&
+          clock_.micros() - pending_since_ >=
+              static_cast<std::int64_t>(flush_us_)) {
+        flush_all();  // one synchronized cut: cheaper than per-owner
+        pump_writes();  // staggering, which costs a gather write each
+      }
+      drain_frames();
+    }
+  }
+
+  std::uint64_t expanded_count() const { return expander_->stats().expanded; }
+
+  std::size_t memory_now() const {
+    std::size_t filters = 0;
+    for (const auto& f : send_filter_) filters += f.memory_bytes();
+    return arena_.memory_bytes() + open_.memory_bytes() +
+           seen_.memory_bytes() + filters;
+  }
+
+  void maybe_progress(KernelGuard&) {}  // the coordinator reports progress
+
  private:
+  /// Expansions between frame drains: bounds and stop frames land within
+  /// a few microseconds of work, without a poll() per pop.
+  static constexpr std::uint64_t kDrainPeriod = 16;
+
+  /// Arena index of the worker's single root: every imported chain hangs
+  /// below it, so imports and local states share ancestors.
+  static constexpr StateIndex kRoot = 0;
+
   /// Duplicate-detection probe handed to the Expander: remote-owned
   /// children always count as fresh (their owner dedups at import);
   /// locally-owned children go through the worker's own SEEN set.
@@ -200,6 +350,7 @@ class DistWorker {
     import_finish_.assign(problem_->num_nodes(), 0.0);
     import_proc_of_.assign(problem_->num_nodes(), machine::kInvalidProc);
     import_proc_ready_.assign(problem_->num_procs(), 0.0);
+    open_.select(*problem_, config_);
 
     incumbent_ = problem_->upper_bound();
     if (!j.at("seed_bound").is_null())
@@ -212,107 +363,64 @@ class DistWorker {
     arena_.reserve(std::size_t{1} << 12);
     seen_ = util::FlatSet128(std::size_t{1} << 10);
 
-    // Only the root's owner seeds it; everyone else starts idle and gets
-    // fed through imports. (With the hash partition the root lands on an
-    // arbitrary rank — there is no coordinator-side seed expansion.)
-    const util::Key128 root_sig = core::root_signature();
-    if (owner_of_sig(root_sig, procs_) == rank_) {
-      State root;
-      root.sig = root_sig;
-      root.parent = kNoParent;
-      const StateIndex idx = arena_.add(root);
-      seen_.insert(root_sig);
-      open_.push({arena_.hot(idx).f, 0.0, idx});
+    // Every worker keeps one root as the anchor of its imported chains;
+    // only the root's owner also seeds OPEN with it. Everyone else starts
+    // idle and gets fed through imports. (With the hash partition the
+    // root lands on an arbitrary rank — there is no coordinator-side seed
+    // expansion.)
+    State root;
+    root.sig = core::root_signature();
+    root.parent = kNoParent;
+    const StateIndex root_idx = arena_.add(root);
+    OPTSCHED_ASSERT(root_idx == kRoot);
+    if (owner_of_sig(root.sig, procs_) == rank_) {
+      seen_.insert(root.sig);
+      open_.push({arena_.hot(kRoot).f, 0.0, kRoot});
     }
   }
 
-  void main_loop() {
-    std::uint32_t since_status = 0;
+  /// Run the shared kernel over this shard. Only the memory cap is armed
+  /// here — the coordinator owns the expansion, time and cancel limits and
+  /// ends them with a stop frame. Once the cap trips, the worker reports
+  /// the limit and only answers frames until the stop arrives, counting
+  /// batches (termination depends on it) without importing them.
+  void search() {
+    KernelGuard guard(config_.controls, {0, 0.0, mem_cap_}, clock_);
+    if (!core::run_search_loop(guard, *this)) return;
+    flush_all();  // ship pending work before going dark
+    Json limit;
+    limit["t"] = "limit";
+    limit["reason"] = 4;  // memory
+    send_json(limit);
+    halted_ = true;
     while (!stop_) {
+      wait_for_frame(100);
       drain_frames();
-      if (stop_) break;
-      if (halted_) {  // memory cap tripped: only answer frames
-        wait_for_frame(100);
-        continue;
-      }
-      // Age-based flush (wire v2): pending exports never sit longer than
-      // flush_us_, so a neighbour starved for work is fed promptly even
-      // when no outbox reaches the size threshold.
-      if (wire_ver_ >= 2 && pending_states_ > 0 &&
-          clock_.micros() - pending_since_ >=
-              static_cast<std::int64_t>(flush_us_)) {
-        flush_all();  // one synchronized cut: cheaper than per-owner
-        pump_writes();  // staggering, which costs a gather write each
-      }
-      // Fast-drop a fully dominated frontier (heap top is min f).
-      if (!open_.empty() && open_.top().f >= incumbent_ - 1e-9) open_.clear();
-      if (open_.empty()) {
-        flush_all();  // everything ships before the idle report — a
-                      // quiescent stop must never strand outbox states
-        int park_ms = 100;
-        const bool owed =
-            last_status_idle_ != 1 || last_status_rcvd_ != rcvd_batches_;
-        if (owed) {
-          // Exponential backoff on repeat idle statuses (v2): the first
-          // report after going idle is immediate; a flood of duplicate
-          // imports only bumps rcvd, and those reports coalesce under a
-          // growing delay. v1 keeps the PR 9 behaviour (report every
-          // change immediately).
-          const auto waited =
-              static_cast<std::uint64_t>(idle_backoff_.micros());
-          if (wire_ver_ < 2 || waited >= idle_backoff_us_) {
-            send_status(/*idle=*/true);
-            idle_backoff_us_ =
-                idle_backoff_us_ == 0
-                    ? kIdleBackoffStartUs
-                    : std::min(idle_backoff_us_ * 2, kIdleBackoffCapUs);
-            idle_backoff_.reset();
-          } else {
-            // Wake in time to send the delayed report even if no frame
-            // arrives — termination must not wait out the full park.
-            park_ms = static_cast<int>((idle_backoff_us_ - waited) / 1000 + 1);
-          }
-        }
-        pump_writes();
-        wait_for_frame(park_ms);
-        continue;
-      }
-      const OpenEntry e = open_.pop();
-      if (e.f >= incumbent_ - 1e-9) continue;  // stale
-      idle_backoff_us_ = 0;  // real work: next idle report is immediate
-      expand(e.index);
-      pump_writes();
-      if (++since_status >= kStatusPeriod) {
-        if (wire_ver_ < 2) flush_all();  // PR 9 cadence for the baseline
-        send_status(/*idle=*/false);
-        since_status = 0;
-        check_memory();
-        pump_writes();
-      }
     }
   }
 
-  void expand(StateIndex idx) {
-    ShardSeen seen{this};
-    const double bound = config_.prune.strict_upper_bound
-                             ? problem_->upper_bound()
-                             : incumbent_;
-    expander_->expand(arena_, seen, idx, bound,
-                      [&](StateIndex child_idx, const State& child) {
-                        accept_child(child_idx, child);
-                      });
-  }
-
+  /// Route one generated child. Goals and remote-owned children are done
+  /// with once offered or serialized, so their arena record — always the
+  /// newest, as the Expander appends then emits — is dropped at once:
+  /// only locally-owned frontier states stay stored (DESIGN.md §10.2).
+  /// The expansion context sits on the parent, below the cut.
   void accept_child(StateIndex idx, const State& child) {
     if (child.depth == problem_->num_nodes()) {
-      offer_goal(child.g, assignment_sequence(idx));
-      return;
+      offer_goal(child.g, child_sequence(child));
+    } else {
+      const std::uint32_t owner = owner_of_sig(child.sig, procs_);
+      if (owner == rank_) {
+        open_.push({child.f(), child.g, idx});
+        return;
+      }
+      ship(owner, child);
     }
-    const std::uint32_t owner = owner_of_sig(child.sig, procs_);
-    if (owner == rank_) {
-      open_.push({child.f(), child.g, idx});
-      return;
-    }
+    OPTSCHED_ASSERT(idx + 1 == arena_.size());
+    arena_.truncate(idx);
+  }
+
+  /// Serialize a remote-owned child into its owner's batch.
+  void ship(std::uint32_t owner, const State& child) {
     // Send-side duplicate filter (v2): a signature already shipped to
     // this owner is not re-serialized — the owner's SEEN check would
     // drop it anyway, so suppressing the resend only saves wire traffic
@@ -321,25 +429,22 @@ class DistWorker {
       ++deduped_;
       return;
     }
-    // Remote-owned: serialize and batch. The local arena copy stays
-    // behind as an unreferenced chain — cheaper than compacting, and it
-    // is charged against this worker's memory share.
     if (wire_ver_ >= 2) {
       if (pending_states_ == 0) pending_since_ = clock_.micros();
-      enc_[owner].append(assignment_sequence(idx), child.f());
+      enc_[owner].append(child_sequence(child), child.f());
       ++pending_states_;
       ++serialized_;
       if (enc_[owner].count() >= batch_size_) flush(owner);
     } else {
       outbox_[owner].push_back(
-          state_msg_to_json({assignment_sequence(idx), child.f()}));
+          state_msg_to_json({child_sequence(child), child.f()}));
       ++serialized_;
       if (outbox_[owner].size() >= batch_size_) flush(owner);
     }
   }
 
   void offer_goal(double len,
-                  std::vector<std::pair<NodeId, ProcId>> seq) {
+                  const std::vector<std::pair<NodeId, ProcId>>& seq) {
     if (len >= incumbent_ - 1e-9) return;
     incumbent_ = len;  // a complete schedule is always a sound bound
     Json goal;
@@ -349,15 +454,13 @@ class DistWorker {
     send_json(goal);
   }
 
-  std::vector<std::pair<NodeId, ProcId>> assignment_sequence(
-      StateIndex idx) const {
-    std::vector<std::pair<NodeId, ProcId>> seq;
-    for (StateIndex i = idx; i != kNoParent; i = arena_.hot(i).parent) {
-      if (arena_.hot(i).is_root()) break;
-      seq.emplace_back(arena_.hot(i).node(), arena_.hot(i).proc());
-    }
-    std::reverse(seq.begin(), seq.end());
-    return seq;
+  /// Assignment sequence of a child being emitted: the expansion context
+  /// sits on its parent, whose sequence it already holds.
+  const std::vector<std::pair<NodeId, ProcId>>& child_sequence(
+      const State& child) {
+    child_seq_ = expander_->context().assignments();
+    child_seq_.emplace_back(child.node, child.proc);
+    return child_seq_;
   }
 
   /// Append framed bytes to the outgoing gather queue (shipped by the
@@ -410,7 +513,6 @@ class DistWorker {
     for (std::uint32_t k = 0; k < procs_; ++k) flush(k);
   }
 
-
   void send_status(bool idle) {
     // Idle statuses are only worth a frame when something changed since
     // the last one — otherwise an idle worker would flood the
@@ -424,7 +526,7 @@ class DistWorker {
       s.rcvd = rcvd_batches_;
       s.exp = expander_->stats().expanded;
       s.open = open_.size();
-      s.min_f = open_.empty() ? kInf : open_.top().f;
+      s.min_f = open_.empty() ? kInf : open_.min_f();
       queue_frame(wire::encode_status(s));
     } else {
       Json st;
@@ -433,7 +535,7 @@ class DistWorker {
       st["rcvd"] = rcvd_batches_;
       st["exp"] = expander_->stats().expanded;
       st["open"] = static_cast<std::uint64_t>(open_.size());
-      st["minf"] = open_.empty() ? Json() : Json(open_.top().f);
+      st["minf"] = open_.empty() ? Json() : Json(open_.min_f());
       std::string line = st.dump();
       line += '\n';
       queue_frame(std::move(line));
@@ -469,23 +571,6 @@ class DistWorker {
     send_json(bye);
   }
 
-  std::size_t memory_now() const {
-    std::size_t filters = 0;
-    for (const auto& f : send_filter_) filters += f.memory_bytes();
-    return arena_.memory_bytes() + open_.memory_bytes() +
-           seen_.memory_bytes() + filters;
-  }
-
-  void check_memory() {
-    if (halted_ || mem_cap_ == 0 || memory_now() <= mem_cap_) return;
-    flush_all();  // ship pending work before going dark
-    Json limit;
-    limit["t"] = "limit";
-    limit["reason"] = 4;  // memory
-    send_json(limit);
-    halted_ = true;
-  }
-
   /// Process every frame already buffered or readable without blocking.
   void drain_frames() {
     for (;;) {
@@ -516,10 +601,15 @@ class DistWorker {
   }
 
   void handle_frame(const wire::Frame& fr) {
+    // A halted worker (memory cap) still counts every batch — the
+    // coordinator's termination accounting needs it — but imports none.
     if (fr.type == wire::FrameType::kBatch) {
-      auto batch = wire::decode_batch(fr.payload());
-      OPTSCHED_REQUIRE(batch.to == rank_, "batch relayed to the wrong worker");
-      for (const auto& m : batch.states) import_msg(m);
+      if (!halted_) {
+        auto batch = wire::decode_batch(fr.payload());
+        OPTSCHED_REQUIRE(batch.to == rank_,
+                         "batch relayed to the wrong worker");
+        for (const auto& m : batch.states) import_msg(m);
+      }
       ++rcvd_batches_;
       return;
     }
@@ -532,8 +622,9 @@ class DistWorker {
     const Json j = Json::parse(fr.raw);
     const std::string& t = j.at("t").as_string();
     if (t == "batch") {
-      for (const auto& s : j.at("states").as_array())
-        import_msg(state_msg_from_json(s));
+      if (!halted_)
+        for (const auto& s : j.at("states").as_array())
+          import_msg(state_msg_from_json(s));
       ++rcvd_batches_;
     } else if (t == "bound") {
       incumbent_ = std::min(incumbent_, j.at("len").as_number());
@@ -546,11 +637,12 @@ class DistWorker {
 
   /// Rebuild a transferred state in the local arena — the same replay as
   /// the in-process import (parallel_astar.cpp), plus owner-side
-  /// duplicate detection: a state already seen rolls the arena back to
-  /// its pre-import size, so rejected imports cost no memory.
+  /// duplicate detection, attached below the prefix it shares with the
+  /// previous import.
   void import_msg(const StateMsg& msg) {
     const auto& graph = problem_->graph();
     const auto& machine = *machine_;
+    const auto& seq = msg.assignments;
 
     // Phase 1: replay the machine simulation into flat scratch arrays
     // only — signature and g fall out of it. The arena is not touched
@@ -568,7 +660,7 @@ class DistWorker {
 
     util::Key128 sig = core::root_signature();
     double g = 0.0;
-    for (const auto& [node, proc] : msg.assignments) {
+    for (const auto& [node, proc] : seq) {
       double dat = 0.0;
       for (const auto& [par, cost] : graph.parents(node))
         dat = std::max(dat, finish[par] + machine.comm_delay(
@@ -583,40 +675,43 @@ class DistWorker {
       sig = core::extend_signature(sig, node, proc, ft);
     }
 
-    if (msg.assignments.size() == problem_->num_nodes()) {
-      offer_goal(g, msg.assignments);  // goals ride goal frames, but
-      return;                          // tolerate one in a batch
+    if (seq.size() == problem_->num_nodes()) {
+      offer_goal(g, seq);  // goals ride goal frames, but
+      return;              // tolerate one in a batch
     }
     OPTSCHED_ASSERT(owner_of_sig(sig, procs_) == rank_);
     if (!seen_.insert(sig)) return;
 
-    // Phase 2 (fresh states only): materialize the parent chain in the
-    // arena from the already-computed finish times.
-    State root;
-    root.sig = core::root_signature();
-    root.parent = kNoParent;
-    StateIndex parent = arena_.add(root);
-    util::Key128 chain_sig = core::root_signature();
-    double chain_g = 0.0;
-    std::uint32_t depth = 0;
-    for (const auto& [node, proc] : msg.assignments) {
-      const double ft = finish[node];
-      chain_g = std::max(chain_g, ft);
-      chain_sig = core::extend_signature(chain_sig, node, proc, ft);
-      ++depth;
-
+    // Phase 2 (fresh states only): attach below the longest prefix this
+    // sequence shares with the last materialized chain and add only the
+    // rest. A batch delta-encodes each state against the previous one
+    // (DESIGN.md §11.2), so sibling imports add a single record. Equal
+    // sequences denote equal states, so a shared record is exact.
+    std::size_t k = 0;
+    const std::size_t common = std::min(seq.size(), chain_seq_.size());
+    while (k < common && seq[k] == chain_seq_[k]) ++k;
+    chain_seq_.resize(k);
+    chain_idx_.resize(k);
+    StateIndex parent = k == 0 ? kRoot : chain_idx_[k - 1];
+    for (std::size_t i = k; i < seq.size(); ++i) {
+      const auto [node, proc] = seq[i];
       State s;
-      s.sig = chain_sig;
-      s.finish = ft;
-      s.g = chain_g;
+      s.finish = finish[node];
+      s.sig = core::extend_signature(arena_.sig(parent), node, proc, s.finish);
+      s.g = std::max(arena_.hot(parent).g, s.finish);
       s.h = 0.0;  // interior-chain h is never read; the final h is below
       s.parent = parent;
       s.node = node;
       s.proc = proc;
-      s.depth = depth;
+      s.depth = static_cast<std::uint32_t>(i + 1);
       parent = arena_.add(s);
+      chain_seq_.push_back(seq[i]);
+      chain_idx_.push_back(parent);
     }
+    OPTSCHED_ASSERT(arena_.sig(parent) == sig);
 
+    // Recompute h for the imported state: consecutive imports share their
+    // chain prefix, so this move is a delta replay.
     import_ctx_->move_to(arena_, parent);
     const double h = core::evaluate_h(config_.h, *problem_,
                                       import_ctx_->view(),
@@ -624,6 +719,7 @@ class DistWorker {
                      config_.h_weight;
     arena_.patch_h(parent, h);
     OPTSCHED_ASSERT(std::abs((g + h) - msg.f) < 1e-6);
+    if (g + h >= incumbent_ - 1e-9) return;  // dominated: never popped
     open_.push({g + h, g, parent});
   }
 
@@ -645,9 +741,14 @@ class DistWorker {
   std::vector<double> import_finish_;
   std::vector<ProcId> import_proc_of_;
   std::vector<double> import_proc_ready_;
+  /// Assignment sequence and arena indices (one per depth) of the last
+  /// imported chain — the attach point for the next import.
+  std::vector<std::pair<NodeId, ProcId>> chain_seq_;
+  std::vector<StateIndex> chain_idx_;
+  std::vector<std::pair<NodeId, ProcId>> child_seq_;  ///< child_sequence()
 
   StateArena arena_;
-  OpenList open_;
+  Frontier open_;
   util::FlatSet128 seen_{16};
   std::vector<std::vector<Json>> outbox_;   ///< per-owner pending (wire v1)
   std::vector<wire::BatchEncoder> enc_;     ///< per-owner pending (wire v2)
@@ -659,7 +760,7 @@ class DistWorker {
 
   double incumbent_ = kInf;
   bool stop_ = false;
-  bool halted_ = false;  ///< memory cap tripped; awaiting stop
+  bool halted_ = false;  ///< memory cap tripped: batches counted, not imported
 
   std::uint64_t rcvd_batches_ = 0;
   std::uint64_t serialized_ = 0;
@@ -1166,9 +1267,10 @@ class DistCoordinator {
     }
     // Coordinator-side relay bytes (writer threads are joined by now).
     for (const auto& w : workers_) out.par_stats.bytes_sent += w->bytes_written;
-    st.queue_kind = "heap";
-    st.queue_fallback =
-        config_.search.queue == core::QueueSelect::kHeap ? "" : "dist";
+    // Workers pick their OPEN list by the same rule from the same problem.
+    const core::QueueChoice queue = core::choose_queue(problem_, config_.search);
+    st.queue_kind = queue.use_bucket ? "bucket" : "heap";
+    st.queue_fallback = queue.fallback;
     st.elapsed_seconds = timer_.seconds();
 
     out.par_stats.mode = TransportMode::kDistributed;

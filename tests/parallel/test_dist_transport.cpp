@@ -1,8 +1,9 @@
 // Distributed HDA* transport: termination-detector unit tests driven
 // with delayed/reordered deliveries (no sockets), wire round-trips for
 // every init/batch payload, end-to-end multi-process agreement with the
-// serial A* optimum, and the worker-crash fault path (SIGKILL mid-search
-// must surface as a typed error, never a hang).
+// serial A* optimum, every search limit (each must end in its typed
+// Termination with a valid schedule), and the worker-crash fault path
+// (SIGKILL mid-search must surface as a typed error, never a hang).
 //
 // The end-to-end tests fork real worker processes: the dist transport
 // re-execs /proc/self/exe — this very gtest binary — and the worker
@@ -14,6 +15,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "core/astar.hpp"
 #include "dag/generators.hpp"
@@ -189,9 +191,15 @@ TEST_P(DistProcs, MatchesSerialOptimumOnPaperExample) {
 INSTANTIATE_TEST_SUITE_P(Procs, DistProcs, ::testing::Values(1, 2, 4));
 
 TEST(DistTransport, MatchesSerialOnRandomInstances) {
-  for (const std::uint64_t seed : {3u, 5u}) {
+  // The v=11 instance's longer sequences give imports longer prefixes to
+  // share with the previously imported chain; 3 workers give an odd hash
+  // partition.
+  for (const auto& [nodes, seed] :
+       {std::pair<std::uint32_t, std::uint64_t>{9, 3},
+        std::pair<std::uint32_t, std::uint64_t>{9, 5},
+        std::pair<std::uint32_t, std::uint64_t>{11, 4}}) {
     dag::RandomDagParams p;
-    p.num_nodes = 9;
+    p.num_nodes = nodes;
     p.ccr = 1.0;
     p.seed = seed;
     const auto g = dag::random_dag(p);
@@ -201,15 +209,18 @@ TEST(DistTransport, MatchesSerialOnRandomInstances) {
     const auto serial = core::astar_schedule(problem);
     ASSERT_TRUE(serial.proved_optimal);
 
-    ParallelConfig cfg;
-    cfg.mode = TransportMode::kDistributed;
-    cfg.num_ppes = 2;
-    // Route through the parallel engine's dispatch, as the registry does.
-    const auto dist = parallel_astar_schedule(problem, cfg);
-    EXPECT_TRUE(dist.result.proved_optimal) << "seed=" << seed;
-    EXPECT_DOUBLE_EQ(dist.result.makespan, serial.makespan)
-        << "seed=" << seed;
-    EXPECT_NO_THROW(sched::validate(dist.result.schedule));
+    for (const std::uint32_t procs : {2u, 3u}) {
+      ParallelConfig cfg;
+      cfg.mode = TransportMode::kDistributed;
+      cfg.num_ppes = procs;
+      // Route through the parallel engine's dispatch, as the registry does.
+      const auto dist = parallel_astar_schedule(problem, cfg);
+      EXPECT_TRUE(dist.result.proved_optimal)
+          << "v=" << nodes << " seed=" << seed << " procs=" << procs;
+      EXPECT_DOUBLE_EQ(dist.result.makespan, serial.makespan)
+          << "v=" << nodes << " seed=" << seed << " procs=" << procs;
+      EXPECT_NO_THROW(sched::validate(dist.result.schedule));
+    }
   }
 }
 
@@ -284,6 +295,68 @@ TEST(DistTransport, ExactOnlyRejectsWeightedAndBoundedConfigs) {
   cfg.search.h_weight = 1.0;
   cfg.naive_termination = true;
   EXPECT_THROW(dist_astar_schedule(problem, cfg), util::Error);
+}
+
+// ---- limits: each ends in its typed Termination, never a hang -------------
+
+/// Far beyond what any limit below lets the fleet finish: a limited dist
+/// solve must stop on the limit with a valid, unproved schedule.
+core::SearchProblem hard_problem() {
+  static const dag::TaskGraph g = [] {
+    dag::RandomDagParams p;
+    p.num_nodes = 26;
+    p.ccr = 10.0;
+    p.seed = 99;
+    return dag::random_dag(p);
+  }();
+  static const Machine m = Machine::fully_connected(4);
+  return core::SearchProblem(g, m);
+}
+
+void expect_limited(const ParallelResult& r, core::Termination reason) {
+  EXPECT_EQ(r.result.reason, reason);
+  EXPECT_FALSE(r.result.proved_optimal);
+  EXPECT_GT(r.result.makespan, 0.0);
+  EXPECT_NO_THROW(sched::validate(r.result.schedule));
+}
+
+ParallelConfig limited_config() {
+  ParallelConfig cfg;
+  cfg.mode = TransportMode::kDistributed;
+  cfg.num_ppes = 3;
+  return cfg;
+}
+
+TEST(DistTransport, TinyMemoryCapEndsInMemoryLimit) {
+  const auto problem = hard_problem();
+  ParallelConfig cfg = limited_config();
+  cfg.search.max_memory_bytes = 1;
+  expect_limited(dist_astar_schedule(problem, cfg),
+                 core::Termination::kMemoryLimit);
+}
+
+TEST(DistTransport, ExpansionLimitEndsInExpansionLimit) {
+  const auto problem = hard_problem();
+  ParallelConfig cfg = limited_config();
+  cfg.search.max_expansions = 10;
+  expect_limited(dist_astar_schedule(problem, cfg),
+                 core::Termination::kExpansionLimit);
+}
+
+TEST(DistTransport, TimeBudgetEndsInTimeLimit) {
+  const auto problem = hard_problem();
+  ParallelConfig cfg = limited_config();
+  cfg.search.time_budget_ms = 30;
+  expect_limited(dist_astar_schedule(problem, cfg),
+                 core::Termination::kTimeLimit);
+}
+
+TEST(DistTransport, PreCancelledEndsCancelled) {
+  const auto problem = hard_problem();
+  ParallelConfig cfg = limited_config();
+  cfg.search.controls.cancel.cancel();
+  expect_limited(dist_astar_schedule(problem, cfg),
+                 core::Termination::kCancelled);
 }
 
 /// A worker SIGKILLed mid-search must surface as a typed util::Error
