@@ -146,4 +146,15 @@ StateMsg state_msg_from_json(const Json& j) {
   return msg;
 }
 
+AbstractOwner::AbstractOwner(const std::vector<dag::NodeId>& node_by_rank,
+                             std::uint32_t stride, std::uint32_t procs)
+    : is_feature_(node_by_rank.size(), 0), procs_(procs) {
+  OPTSCHED_REQUIRE(stride >= 1 && procs >= 1,
+                   "owner rule needs a positive stride and worker count");
+  for (std::size_t r = 0; r < node_by_rank.size(); r += stride) {
+    is_feature_[node_by_rank[r]] = 1;
+    features_.push_back(node_by_rank[r]);
+  }
+}
+
 }  // namespace optsched::par

@@ -62,6 +62,7 @@
 #include "machine/machine.hpp"
 #include "parallel/transport.hpp"
 #include "util/jsonl.hpp"
+#include "util/rng.hpp"
 
 namespace optsched::par {
 
@@ -95,6 +96,51 @@ std::vector<std::pair<dag::NodeId, machine::ProcId>> assignments_from_json(
 
 util::Json state_msg_to_json(const StateMsg& msg);
 StateMsg state_msg_from_json(const util::Json& j);
+
+// ---- state ownership -----------------------------------------------------
+
+/// Locality-aware owner rule of the dist workers: abstract Zobrist hashing
+/// (Jinnai & Fukunaga, AAAI 2016). The abstraction keeps only the
+/// processor assignments of a fixed subset of *feature* nodes — every
+/// `stride`-th node in priority-rank order — and drops finish times and
+/// every other node. A state's abstract key is the commutative sum of the
+/// splitmix64-mixed (node, proc) terms of its feature assignments, so:
+///   - the key is a function of the partial schedule (the set of its
+///     assignments), not of the path that reached it: every state still
+///     has exactly one owner, and duplicate detection stays exact;
+///   - a child that assigns a non-feature node has its parent's key and
+///     stays with its parent's owner, never crossing the wire;
+///   - a child's key is its parent's key plus one term, O(1).
+/// The owner of a key is a second mix of it modulo the worker count; the
+/// empty schedule (the root) has key 0.
+class AbstractOwner {
+ public:
+  AbstractOwner(const std::vector<dag::NodeId>& node_by_rank,
+                std::uint32_t stride, std::uint32_t procs);
+
+  /// Key contribution of assigning `node` to `proc`: 0 unless `node` is a
+  /// feature node.
+  std::uint64_t term(dag::NodeId node, machine::ProcId proc) const noexcept {
+    if (!is_feature_[node]) return 0;
+    return util::splitmix64((static_cast<std::uint64_t>(node) << 32) |
+                            static_cast<std::uint64_t>(proc));
+  }
+
+  /// Worker rank owning every state whose abstract key is `key`.
+  std::uint32_t owner(std::uint64_t key) const noexcept {
+    return static_cast<std::uint32_t>(util::splitmix64(key) % procs_);
+  }
+
+  /// The feature nodes, ascending by priority rank.
+  const std::vector<dag::NodeId>& features() const noexcept {
+    return features_;
+  }
+
+ private:
+  std::vector<std::uint8_t> is_feature_;  ///< indexed by node id
+  std::vector<dag::NodeId> features_;
+  std::uint32_t procs_;
+};
 
 // ---- termination detection -----------------------------------------------
 

@@ -112,13 +112,6 @@ constexpr std::uint64_t kIdleBackoffCapUs = 8000;
 /// Auto outbox flush threshold under wire v2 (states per destination).
 constexpr std::uint32_t kAutoFlushStatesV2 = 256;
 
-/// Same signature-hash ownership the ws mode uses for seed partitioning:
-/// a pure function of the signature, so every process agrees on who owns
-/// a state without communicating.
-std::uint32_t owner_of_sig(const util::Key128& sig, std::uint32_t q) {
-  return HashPartition{}.owner_of(0, sig, q);
-}
-
 std::uint64_t get_u64(const Json& j, const char* key) {
   j.at(key);  // required field: throw on absence rather than defaulting
   return j.get_u64(key, 0);
@@ -163,10 +156,11 @@ class Frontier {
   OpenList heap_;
 };
 
-/// One worker process: owns its signature shard and searches it on the
-/// shared kernel (core/search_kernel.hpp). DistWorker is the kernel
-/// policy; the socket work rides its hooks — frames are drained every
-/// kDrainPeriod expansions and while parked on an empty frontier.
+/// One worker process: owns the states whose abstract keys map to its
+/// rank (AbstractOwner) and searches them on the shared kernel
+/// (core/search_kernel.hpp). DistWorker is the kernel policy; the socket
+/// work rides its hooks — frames are drained every kDrainPeriod
+/// expansions and while parked on an empty frontier.
 class DistWorker {
  public:
   DistWorker(int fd, std::uint32_t rank) : stream_(fd), rank_(rank) {}
@@ -261,13 +255,17 @@ class DistWorker {
 
   void expand(StateIndex idx) {
     idle_backoff_us_ = 0;  // real work: next idle report is immediate
-    ShardSeen seen{this};
+    DeferredSeen seen{this};
     const double bound = config_.prune.strict_upper_bound
                              ? problem_->upper_bound()
                              : incumbent_;
+    // The expanded state's abstract key, read once from the expansion
+    // context — loaded by the time the first child is emitted.
+    std::optional<std::uint64_t> key;
     expander_->expand(arena_, seen, idx, bound,
                       [&](StateIndex child_idx, const State& child) {
-                        accept_child(child_idx, child);
+                        if (!key) key = context_key();
+                        accept_child(child_idx, child, *key);
                       });
   }
 
@@ -308,20 +306,35 @@ class DistWorker {
   /// a few microseconds of work, without a poll() per pop.
   static constexpr std::uint64_t kDrainPeriod = 16;
 
+  /// Every kFeatureStride-th node in priority-rank order is a feature node
+  /// of the owner rule (AbstractOwner). A larger stride keeps more
+  /// children local but leaves fewer abstract states to spread over the
+  /// workers.
+  static constexpr std::uint32_t kFeatureStride = 3;
+
   /// Arena index of the worker's single root: every imported chain hangs
   /// below it, so imports and local states share ancestors.
   static constexpr StateIndex kRoot = 0;
 
-  /// Duplicate-detection probe handed to the Expander: remote-owned
-  /// children always count as fresh (their owner dedups at import);
-  /// locally-owned children go through the worker's own SEEN set.
-  struct ShardSeen {
+  /// Duplicate-detection probe handed to the Expander. The owner of a
+  /// child depends on its assignment, not only its signature, so the
+  /// Expander's probe passes every child and accept_child() runs the SEEN
+  /// probe for locally-owned ones (remote owners dedup at import). The
+  /// prefetch still warms the SEEN slot of every candidate.
+  struct DeferredSeen {
     DistWorker* w;
-    bool insert(const util::Key128& k) {
-      if (owner_of_sig(k, w->procs_) != w->rank_) return true;
-      return w->seen_.insert(k);
-    }
+    static bool insert(const util::Key128&) { return true; }
+    void prefetch(const util::Key128& k) const { w->seen_.prefetch(k); }
   };
+
+  /// Abstract key of the state loaded in the expansion context.
+  std::uint64_t context_key() const {
+    const core::ExpansionContext& ctx = expander_->context();
+    std::uint64_t key = 0;
+    for (const NodeId n : owner_->features())
+      if (ctx.scheduled(n)) key += owner_->term(n, ctx.proc_of(n));
+    return key;
+  }
 
   void handle_init(const Json& j) {
     OPTSCHED_REQUIRE(j.at("t").as_string() == "init", "expected init frame");
@@ -344,6 +357,7 @@ class DistWorker {
 
     problem_.emplace(graph_, *machine_,
                      static_cast<machine::CommMode>(comm));
+    owner_.emplace(problem_->node_by_rank(), kFeatureStride, procs_);
     expander_.emplace(*problem_, config_);
     import_ctx_.emplace(*problem_);
     import_scratch_.assign(2 * std::size_t{problem_->num_nodes()}, 0.0);
@@ -365,15 +379,15 @@ class DistWorker {
 
     // Every worker keeps one root as the anchor of its imported chains;
     // only the root's owner also seeds OPEN with it. Everyone else starts
-    // idle and gets fed through imports. (With the hash partition the
-    // root lands on an arbitrary rank — there is no coordinator-side seed
+    // idle and gets fed through imports. (The root's abstract key is 0,
+    // which maps to an arbitrary rank — there is no coordinator-side seed
     // expansion.)
     State root;
     root.sig = core::root_signature();
     root.parent = kNoParent;
     const StateIndex root_idx = arena_.add(root);
     OPTSCHED_ASSERT(root_idx == kRoot);
-    if (owner_of_sig(root.sig, procs_) == rank_) {
+    if (owner_->owner(0) == rank_) {
       seen_.insert(root.sig);
       open_.push({arena_.hot(kRoot).f, 0.0, kRoot});
     }
@@ -399,20 +413,30 @@ class DistWorker {
     }
   }
 
-  /// Route one generated child. Goals and remote-owned children are done
-  /// with once offered or serialized, so their arena record — always the
-  /// newest, as the Expander appends then emits — is dropped at once:
-  /// only locally-owned frontier states stay stored (DESIGN.md §10.2).
-  /// The expansion context sits on the parent, below the cut.
-  void accept_child(StateIndex idx, const State& child) {
-    if (child.depth == problem_->num_nodes()) {
+  /// Route one generated child of a state with abstract key `parent_key`.
+  /// A locally-owned child first takes the SEEN probe; a duplicate is
+  /// counted as dropped, not generated, exactly as the Expander's own
+  /// probe would count it. Local duplicates, goals and remote-owned
+  /// children are done with once dropped, offered or serialized, so their
+  /// arena record — always the newest, as the Expander appends then
+  /// emits — is dropped at once: only locally-owned frontier states stay
+  /// stored (DESIGN.md §10.2). The expansion context sits on the parent,
+  /// below the cut.
+  void accept_child(StateIndex idx, const State& child,
+                    std::uint64_t parent_key) {
+    const std::uint32_t owner =
+        owner_->owner(parent_key + owner_->term(child.node, child.proc));
+    if (owner == rank_ && config_.prune.duplicate_detection &&
+        !seen_.insert(child.sig)) {
+      core::ExpandStats& stats = expander_->stats();
+      --stats.generated;
+      ++stats.duplicates_dropped;
+    } else if (child.depth == problem_->num_nodes()) {
       offer_goal(child.g, child_sequence(child));
+    } else if (owner == rank_) {
+      open_.push({child.f(), child.g, idx});
+      return;
     } else {
-      const std::uint32_t owner = owner_of_sig(child.sig, procs_);
-      if (owner == rank_) {
-        open_.push({child.f(), child.g, idx});
-        return;
-      }
       ship(owner, child);
     }
     OPTSCHED_ASSERT(idx + 1 == arena_.size());
@@ -659,6 +683,7 @@ class DistWorker {
     std::fill(proc_ready.begin(), proc_ready.end(), 0.0);
 
     util::Key128 sig = core::root_signature();
+    std::uint64_t key = 0;
     double g = 0.0;
     for (const auto& [node, proc] : seq) {
       double dat = 0.0;
@@ -673,13 +698,14 @@ class DistWorker {
       proc_ready[proc] = ft;
       g = std::max(g, ft);
       sig = core::extend_signature(sig, node, proc, ft);
+      key += owner_->term(node, proc);
     }
 
     if (seq.size() == problem_->num_nodes()) {
       offer_goal(g, seq);  // goals ride goal frames, but
       return;              // tolerate one in a batch
     }
-    OPTSCHED_ASSERT(owner_of_sig(sig, procs_) == rank_);
+    OPTSCHED_ASSERT(owner_->owner(key) == rank_);
     if (!seen_.insert(sig)) return;
 
     // Phase 2 (fresh states only): attach below the longest prefix this
@@ -734,6 +760,7 @@ class DistWorker {
   dag::TaskGraph graph_;
   std::optional<machine::Machine> machine_;
   std::optional<SearchProblem> problem_;
+  std::optional<AbstractOwner> owner_;
   core::SearchConfig config_;
   std::optional<Expander> expander_;
   std::optional<core::ExpansionContext> import_ctx_;

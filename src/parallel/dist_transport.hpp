@@ -3,8 +3,10 @@
 // The in-process transports (ring, ws) share one address space: PPEs pass
 // arena indices and atomics. This harness runs the same HDA* idea across
 // *processes* on one host: a coordinator forks N workers, each owning the
-// signature-hash shard of the state space HashPartition assigns it, and
-// every generated state is either kept locally (owner == self) or
+// states whose abstract key maps to its rank (AbstractOwner in
+// dist_protocol.hpp: the key hashes only the processors of every third
+// node in priority order, so most children keep their parent's owner),
+// and every generated state is either kept locally (owner == self) or
 // serialized as its assignment sequence and shipped to its owner through
 // the coordinator over AF_UNIX socketpairs (dist_protocol.hpp describes
 // the versioned newline-JSON frames).

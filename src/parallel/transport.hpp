@@ -56,7 +56,7 @@ struct ParallelConfig;  // parallel_astar.hpp
 enum class TransportMode : std::uint8_t {
   kRing,          ///< paper §3.3: static partition + periodic rebalancing
   kWorkStealing,  ///< per-PPE deques + hash-sharded duplicate detection
-  /// HDA* over worker *processes*: signature-hash ownership, serialized
+  /// HDA* over worker *processes*: abstract-key ownership, serialized
   /// state batches over AF_UNIX sockets, coordinator-side termination
   /// detection (parallel/dist_transport.hpp). Does not run on the
   /// in-process Transport/PpeLink substrate below — the dispatch in

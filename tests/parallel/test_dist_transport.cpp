@@ -1,9 +1,10 @@
 // Distributed HDA* transport: termination-detector unit tests driven
 // with delayed/reordered deliveries (no sockets), wire round-trips for
-// every init/batch payload, end-to-end multi-process agreement with the
-// serial A* optimum, every search limit (each must end in its typed
-// Termination with a valid schedule), and the worker-crash fault path
-// (SIGKILL mid-search must surface as a typed error, never a hang).
+// every init/batch payload, the abstract-key owner rule, end-to-end
+// multi-process agreement with the serial A* optimum (and with serial
+// A*'s counters at one worker), every search limit (each must end in its
+// typed Termination with a valid schedule), and the worker-crash fault
+// path (SIGKILL mid-search must surface as a typed error, never a hang).
 //
 // The end-to-end tests fork real worker processes: the dist transport
 // re-execs /proc/self/exe — this very gtest binary — and the worker
@@ -15,10 +16,17 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/astar.hpp"
+#include "core/expansion.hpp"
+#include "core/signature.hpp"
 #include "dag/generators.hpp"
+#include "machine/spec.hpp"
 #include "parallel/dist_protocol.hpp"
 #include "parallel/parallel_astar.hpp"
 #include "sched/schedule.hpp"
@@ -168,6 +176,128 @@ TEST(DistProtocol, MalformedFramesThrowTypedErrors) {
                util::Error);
 }
 
+// ---- owner rule -----------------------------------------------------------
+
+using Assignments = std::vector<std::pair<dag::NodeId, machine::ProcId>>;
+
+/// The worker's feature stride (DistWorker::kFeatureStride).
+constexpr std::uint32_t kStride = 3;
+
+dag::TaskGraph eleven_node_dag() {
+  dag::RandomDagParams p;
+  p.num_nodes = 11;
+  p.ccr = 1.0;
+  p.seed = 4;
+  return dag::random_dag(p);
+}
+
+/// A topological order of the whole graph (Kahn), taking the smallest or
+/// the largest ready node id first; node n runs on processor n % 3.
+Assignments topological_schedule(const dag::TaskGraph& g, bool largest_first) {
+  std::vector<std::size_t> pending(g.num_nodes());
+  for (dag::NodeId n = 0; n < g.num_nodes(); ++n)
+    pending[n] = g.parents(n).size();
+  Assignments seq;
+  while (seq.size() < g.num_nodes()) {
+    dag::NodeId pick = dag::kInvalidNode;
+    for (dag::NodeId n = 0; n < g.num_nodes(); ++n)
+      if (pending[n] == 0 && (pick == dag::kInvalidNode || largest_first))
+        pick = n;
+    pending[pick] = static_cast<std::size_t>(-1);  // taken
+    for (const auto& [child, cost] : g.children(pick)) --pending[child];
+    seq.emplace_back(pick, static_cast<machine::ProcId>(pick % 3));
+  }
+  return seq;
+}
+
+/// Abstract key of a partial schedule: the sum of its assignments' terms,
+/// as the worker accumulates it along a path.
+std::uint64_t key_of(const AbstractOwner& rule, const Assignments& seq) {
+  std::uint64_t key = 0;
+  for (const auto& [node, proc] : seq) key += rule.term(node, proc);
+  return key;
+}
+
+TEST(AbstractOwner, OrderOfTheSameScheduleDoesNotMatter) {
+  const auto g = eleven_node_dag();
+  const auto m = Machine::fully_connected(3);
+  const core::SearchProblem problem(g, m);
+  const Assignments a = topological_schedule(g, false);
+  const Assignments b = topological_schedule(g, true);
+  ASSERT_NE(a, b);  // two different orders of one schedule
+  for (const std::uint32_t procs : {2u, 3u, 4u, 8u}) {
+    const AbstractOwner rule(problem.node_by_rank(), kStride, procs);
+    EXPECT_EQ(key_of(rule, a), key_of(rule, b));
+    EXPECT_EQ(rule.owner(key_of(rule, a)), rule.owner(key_of(rule, b)));
+  }
+}
+
+TEST(AbstractOwner, NonFeatureNodeKeepsTheOwner) {
+  const auto g = eleven_node_dag();
+  const auto m = Machine::fully_connected(3);
+  const core::SearchProblem problem(g, m);
+  const AbstractOwner rule(problem.node_by_rank(), kStride, 3);
+  ASSERT_EQ(rule.features().size(), 4u);  // ranks 0, 3, 6, 9
+  const Assignments seq = topological_schedule(g, false);
+  std::uint64_t key = 0;
+  for (const auto& [node, proc] : seq) {
+    const bool feature = problem.priority_rank(node) % kStride == 0;
+    const std::uint64_t next = key + rule.term(node, proc);
+    if (!feature) {
+      EXPECT_EQ(next, key) << "node " << node;
+      EXPECT_EQ(rule.owner(next), rule.owner(key)) << "node " << node;
+    } else {
+      EXPECT_NE(next, key) << "node " << node;
+    }
+    key = next;
+  }
+}
+
+TEST(AbstractOwner, OneWorkerOwnsEverything) {
+  const auto g = eleven_node_dag();
+  const auto m = Machine::fully_connected(3);
+  const core::SearchProblem problem(g, m);
+  const AbstractOwner rule(problem.node_by_rank(), kStride, 1);
+  for (std::uint64_t key = 0; key < 1000; ++key)
+    EXPECT_EQ(rule.owner(key * 0x9e3779b97f4a7c15ULL), 0u);
+}
+
+TEST(AbstractOwner, EveryRankOwnsStatesOnElevenNodes) {
+  // Breadth-first over the first 2000 expansions of the v=11 instance:
+  // every rank must own some of the generated states, or a worker would
+  // sit out the search.
+  const auto g = eleven_node_dag();
+  const auto m = Machine::fully_connected(3);
+  const core::SearchProblem problem(g, m);
+  core::Expander expander(problem, core::SearchConfig{});
+  core::StateArena arena;
+  core::State root;
+  root.sig = core::root_signature();
+  root.parent = core::kNoParent;
+  arena.add(root);
+  util::FlatSet128 seen(16);
+  std::vector<Assignments> generated;
+  for (core::StateIndex next = 0; next < arena.size() && next < 2000;
+       ++next) {
+    expander.expand(arena, seen, next,
+                    std::numeric_limits<double>::infinity(),
+                    [&](core::StateIndex, const core::State& child) {
+                      Assignments seq = expander.context().assignments();
+                      seq.emplace_back(child.node, child.proc);
+                      generated.push_back(std::move(seq));
+                    });
+  }
+  ASSERT_GT(generated.size(), 2000u);
+  for (const std::uint32_t procs : {2u, 3u, 4u}) {
+    const AbstractOwner rule(problem.node_by_rank(), kStride, procs);
+    std::vector<std::size_t> owned(procs, 0);
+    for (const Assignments& seq : generated)
+      ++owned[rule.owner(key_of(rule, seq))];
+    for (std::uint32_t k = 0; k < procs; ++k)
+      EXPECT_GT(owned[k], 0u) << "rank " << k << " of " << procs;
+  }
+}
+
 // ---- end-to-end multi-process solves --------------------------------------
 
 class DistProcs : public ::testing::TestWithParam<std::uint32_t> {};
@@ -188,12 +318,54 @@ TEST_P(DistProcs, MatchesSerialOptimumOnPaperExample) {
   EXPECT_GE(r.par_stats.termination_rounds, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Procs, DistProcs, ::testing::Values(1, 2, 4));
+// 8 workers on the 6-node paper example: some own no abstract key at all,
+// start idle, and must still take part in termination.
+INSTANTIATE_TEST_SUITE_P(Procs, DistProcs, ::testing::Values(1, 2, 4, 8));
 
 TEST(DistTransport, MatchesSerialOnRandomInstances) {
   // The v=11 instance's longer sequences give imports longer prefixes to
-  // share with the previously imported chain; 3 workers give an odd hash
-  // partition.
+  // share with the previously imported chain; 3 workers give an odd
+  // partition of the abstract keys, and the heterogeneous machine gives
+  // per-processor execution times.
+  for (const auto& [nodes, seed, spec] :
+       {std::tuple<std::uint32_t, std::uint64_t, const char*>{9, 3, "clique:3"},
+        std::tuple<std::uint32_t, std::uint64_t, const char*>{9, 5, "clique:3"},
+        std::tuple<std::uint32_t, std::uint64_t, const char*>{11, 4,
+                                                              "clique:3"},
+        std::tuple<std::uint32_t, std::uint64_t, const char*>{
+            9, 7, "clique:3@1,2,4"}}) {
+    dag::RandomDagParams p;
+    p.num_nodes = nodes;
+    p.ccr = 1.0;
+    p.seed = seed;
+    const auto g = dag::random_dag(p);
+    const auto m = machine::machine_from_spec(spec);
+    const core::SearchProblem problem(g, m);
+
+    const auto serial = core::astar_schedule(problem);
+    ASSERT_TRUE(serial.proved_optimal);
+
+    for (const std::uint32_t procs : {2u, 3u, 4u}) {
+      ParallelConfig cfg;
+      cfg.mode = TransportMode::kDistributed;
+      cfg.num_ppes = procs;
+      // Route through the parallel engine's dispatch, as the registry does.
+      const auto dist = parallel_astar_schedule(problem, cfg);
+      EXPECT_TRUE(dist.result.proved_optimal)
+          << "v=" << nodes << " seed=" << seed << " " << spec
+          << " procs=" << procs;
+      EXPECT_DOUBLE_EQ(dist.result.makespan, serial.makespan)
+          << "v=" << nodes << " seed=" << seed << " " << spec
+          << " procs=" << procs;
+      EXPECT_NO_THROW(sched::validate(dist.result.schedule));
+    }
+  }
+}
+
+TEST(DistTransport, OneWorkerReproducesSerialCounters) {
+  // One worker owns every state, so it must search exactly as serial A*
+  // does: the worker's own SEEN probe of local children counts a
+  // duplicate as dropped, never as generated.
   for (const auto& [nodes, seed] :
        {std::pair<std::uint32_t, std::uint64_t>{9, 3},
         std::pair<std::uint32_t, std::uint64_t>{9, 5},
@@ -207,20 +379,20 @@ TEST(DistTransport, MatchesSerialOnRandomInstances) {
     const core::SearchProblem problem(g, m);
 
     const auto serial = core::astar_schedule(problem);
-    ASSERT_TRUE(serial.proved_optimal);
-
-    for (const std::uint32_t procs : {2u, 3u}) {
-      ParallelConfig cfg;
-      cfg.mode = TransportMode::kDistributed;
-      cfg.num_ppes = procs;
-      // Route through the parallel engine's dispatch, as the registry does.
-      const auto dist = parallel_astar_schedule(problem, cfg);
-      EXPECT_TRUE(dist.result.proved_optimal)
-          << "v=" << nodes << " seed=" << seed << " procs=" << procs;
-      EXPECT_DOUBLE_EQ(dist.result.makespan, serial.makespan)
-          << "v=" << nodes << " seed=" << seed << " procs=" << procs;
-      EXPECT_NO_THROW(sched::validate(dist.result.schedule));
-    }
+    ParallelConfig cfg;
+    cfg.mode = TransportMode::kDistributed;
+    cfg.num_ppes = 1;
+    const auto dist = dist_astar_schedule(problem, cfg);
+    EXPECT_DOUBLE_EQ(dist.result.makespan, serial.makespan);
+    EXPECT_EQ(dist.result.stats.expanded, serial.stats.expanded)
+        << "v=" << nodes << " seed=" << seed;
+    EXPECT_EQ(dist.result.stats.generated, serial.stats.generated)
+        << "v=" << nodes << " seed=" << seed;
+    EXPECT_EQ(dist.result.stats.duplicates_dropped,
+              serial.stats.duplicates_dropped)
+        << "v=" << nodes << " seed=" << seed;
+    EXPECT_GT(serial.stats.duplicates_dropped, 0u);
+    EXPECT_EQ(dist.par_stats.states_serialized, 0u);
   }
 }
 
