@@ -13,10 +13,8 @@
 #include "core/open_list.hpp"
 #include "dag/generators.hpp"
 #include "machine/automorphism.hpp"
-#include "parallel/dist_protocol.hpp"
 #include "parallel/wire.hpp"
 #include "sched/list_scheduler.hpp"
-#include "util/jsonl.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -90,7 +88,8 @@ BENCHMARK(BM_OpenListPushPop);
 // The same mixed push/pop/prune stream through both OPEN structures at a
 // steady frontier size, with on-grid integer f values so the comparison is
 // purely structural (the bucket queue only runs on exact grids anyway).
-// bench/run_hotpath.sh commits the ratio to BENCH_pr8.json.
+// perfbench/run.py measures the end-to-end effect; BENCH_pr8.json holds
+// the ratio the bench recorded when the bucket queue landed.
 
 constexpr std::uint64_t kBenchFMax = 1 << 17;
 
@@ -432,10 +431,10 @@ void BM_FullAStarSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_FullAStarSmall)->Unit(benchmark::kMillisecond);
 
-// ---- dist wire codecs (v1 JSON vs v2 binary) ------------------------------
+// ---- dist wire codec ------------------------------------------------------
 //
 // Realistic outbox shape: sibling exports sharing a deep prefix and
-// diverging in the last assignment — the case the v2 delta encoding is
+// diverging in the last assignment — the case the delta encoding is
 // designed around. Arg = states per batch (1 / 32 / 256).
 
 std::vector<par::StateMsg> wire_batch_states(std::int64_t count) {
@@ -455,81 +454,39 @@ std::vector<par::StateMsg> wire_batch_states(std::int64_t count) {
   return states;
 }
 
-std::string wire_v1_frame(const std::vector<par::StateMsg>& states) {
-  util::Json arr{util::Json::Array{}};
-  for (const auto& s : states) arr.push_back(par::state_msg_to_json(s));
-  util::Json frame;
-  frame["t"] = "batch";
-  frame["to"] = 1;
-  frame["states"] = std::move(arr);
-  return frame.dump() + '\n';
-}
-
 void BM_WireEncodeBatch(benchmark::State& state) {
-  const bool v2 = state.range(0) != 0;
-  const auto states = wire_batch_states(state.range(1));
+  const auto states = wire_batch_states(state.range(0));
   std::size_t bytes = 0;
   for (auto _ : state) {
-    if (v2) {
-      par::wire::BatchEncoder enc;
-      enc.reset(1);
-      for (const auto& s : states) enc.append(s.assignments, s.f);
-      const std::string frame = enc.take_frame();
-      bytes = frame.size();
-      benchmark::DoNotOptimize(frame.data());
-    } else {
-      const std::string frame = wire_v1_frame(states);
-      bytes = frame.size();
-      benchmark::DoNotOptimize(frame.data());
-    }
+    par::wire::BatchEncoder enc;
+    enc.reset(1);
+    for (const auto& s : states) enc.append(s.assignments, s.f);
+    const std::string frame = enc.take_frame();
+    bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
   }
   state.counters["frame_bytes"] = static_cast<double>(bytes);
-  state.counters["states"] = static_cast<double>(state.range(1));
+  state.counters["states"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_WireEncodeBatch)
-    ->ArgNames({"v2", "states"})
-    ->Args({0, 1})
-    ->Args({0, 32})
-    ->Args({0, 256})
-    ->Args({1, 1})
-    ->Args({1, 32})
-    ->Args({1, 256});
+BENCHMARK(BM_WireEncodeBatch)->ArgName("states")->Arg(1)->Arg(32)->Arg(256);
 
 void BM_WireDecodeBatch(benchmark::State& state) {
-  const bool v2 = state.range(0) != 0;
-  const auto states = wire_batch_states(state.range(1));
-  std::string v1_line = wire_v1_frame(states);
-  v1_line.pop_back();  // read_line strips the newline before parse
+  const auto states = wire_batch_states(state.range(0));
   par::wire::BatchEncoder enc;
   enc.reset(1);
   for (const auto& s : states) enc.append(s.assignments, s.f);
-  const std::string v2_frame = enc.take_frame();
+  const std::string frame = enc.take_frame();
   // Payload view, as read_frame hands it to the decoder.
-  par::wire::Reader hdr(std::string_view(v2_frame).substr(2));
+  par::wire::Reader hdr(std::string_view(frame).substr(2));
   const std::uint64_t payload_len = hdr.varint();
-  const std::string_view v2_payload =
-      std::string_view(v2_frame).substr(v2_frame.size() - payload_len);
+  const std::string_view payload =
+      std::string_view(frame).substr(frame.size() - payload_len);
 
   for (auto _ : state) {
-    if (v2) {
-      const auto batch = par::wire::decode_batch(v2_payload);
-      benchmark::DoNotOptimize(batch.states.data());
-    } else {
-      const auto j = util::Json::parse(v1_line);
-      std::vector<par::StateMsg> out;
-      for (const auto& s : j.at("states").as_array())
-        out.push_back(par::state_msg_from_json(s));
-      benchmark::DoNotOptimize(out.data());
-    }
+    const auto batch = par::wire::decode_batch(payload);
+    benchmark::DoNotOptimize(batch.states.data());
   }
 }
-BENCHMARK(BM_WireDecodeBatch)
-    ->ArgNames({"v2", "states"})
-    ->Args({0, 1})
-    ->Args({0, 32})
-    ->Args({0, 256})
-    ->Args({1, 1})
-    ->Args({1, 32})
-    ->Args({1, 256});
+BENCHMARK(BM_WireDecodeBatch)->ArgName("states")->Arg(1)->Arg(32)->Arg(256);
 
 }  // namespace

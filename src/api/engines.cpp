@@ -262,26 +262,6 @@ class ParallelSolver : public Solver {
             "engine 'parallel': mode=dist always uses sound termination "
             "(drop naive-term)");
     }
-    // Distributed wire tuning: codec version, outbox flush size/age.
-    for (const char* key : {"wire", "batch", "flush-us"}) {
-      if (request.options.count(key) &&
-          config.mode != par::TransportMode::kDistributed)
-        throw InvalidRequest(std::string("engine 'parallel': option '") +
-                             key + "' requires mode=dist");
-    }
-    const auto wire = request.options.find("wire");
-    if (wire != request.options.end()) {
-      if (wire->second == "v1" || wire->second == "1")
-        config.wire_version = 1;
-      else if (wire->second == "v2" || wire->second == "2")
-        config.wire_version = 2;
-      else
-        bad_option("parallel", "wire", wire->second, "v1|v2");
-    }
-    config.flush_states = static_cast<std::uint32_t>(
-        opt_int(request.options, "parallel", "batch", 0, /*min_value=*/0));
-    config.flush_us = static_cast<std::uint32_t>(opt_int(
-        request.options, "parallel", "flush-us", 2000, /*min_value=*/0));
     const auto it = request.options.find("topology");
     if (it != request.options.end()) {
       if (it->second == "ring")
@@ -488,14 +468,6 @@ void register_builtin_engines(SolverRegistry& registry) {
                  "sharded dedup) | dist (worker processes over AF_UNIX "
                  "sockets, exact-only); default ring"},
         {"procs", "dist mode: worker process count (default 4)"},
-        {"wire", "dist mode: wire codec: v2 (binary, delta-encoded "
-                 "batches) | v1 (newline-JSON baseline); default v2"},
-        {"batch", "dist mode: states per destination outbox before a "
-                  "flush (default 0 = auto: 256 under v2, steal-batch "
-                  "under v1)"},
-        {"flush-us", "dist mode, wire v2: max age in microseconds of a "
-                     "pending outbox state before a forced flush "
-                     "(default 2000)"},
         {"epsilon", "approximation factor (default 0 = exact)"},
         {"h", "heuristic function: zero|paper|path|composite"},
         {"topology", "ring mode: PPE interconnect: ring|mesh|clique"},

@@ -132,20 +132,6 @@ std::vector<std::pair<dag::NodeId, machine::ProcId>> assignments_from_json(
   return seq;
 }
 
-Json state_msg_to_json(const StateMsg& msg) {
-  Json out;
-  out["a"] = assignments_to_json(msg.assignments);
-  out["f"] = msg.f;
-  return out;
-}
-
-StateMsg state_msg_from_json(const Json& j) {
-  StateMsg msg;
-  msg.assignments = assignments_from_json(j.at("a"));
-  msg.f = j.at("f").as_number();
-  return msg;
-}
-
 AbstractOwner::AbstractOwner(const std::vector<dag::NodeId>& node_by_rank,
                              std::uint32_t stride, std::uint32_t procs)
     : is_feature_(node_by_rank.size(), 0), procs_(procs) {

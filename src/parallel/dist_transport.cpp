@@ -16,13 +16,12 @@
 // remote-owned children in batches, drain frames every few expansions;
 // park in poll() when the frontier is empty or dominated.
 //
-// Wire path (PR 10): under the negotiated wire v2 the hot frames travel
-// in the binary framing of parallel/wire.hpp — delta-encoded batches the
-// coordinator relays verbatim (it reads only the destination varint),
-// binary status/bound, a per-destination send-side duplicate filter, an
-// adaptive size/age outbox flush, gathered writev-style socket writes,
-// and exponential idle-status backoff. wire=v1 keeps the PR 9 JSON path
-// bit-for-bit as the differential baseline. See DESIGN.md §11.
+// Wire path: the hot frames travel in the binary framing of
+// parallel/wire.hpp — delta-encoded batches the coordinator relays
+// verbatim (it reads only the destination varint), binary status/bound,
+// a per-destination send-side duplicate filter, a size/age outbox flush,
+// gathered writev-style socket writes, and exponential idle-status
+// backoff. The rare frames stay JSON. See DESIGN.md §11.
 #include "parallel/dist_transport.hpp"
 
 #include <fcntl.h>
@@ -57,6 +56,7 @@
 #include "core/search_kernel.hpp"
 #include "core/signature.hpp"
 #include "parallel/dist_protocol.hpp"
+#include "parallel/replay.hpp"
 #include "parallel/wire.hpp"
 #include "util/assert.hpp"
 #include "util/flat_set.hpp"
@@ -92,15 +92,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr const char* kWorkerEnv = "OPTSCHED_DIST_WORKER";
 
 /// Frame cap for dist sockets. Init frames carry the whole instance and
-/// batch frames carry steal_batch assignment sequences — far below this,
-/// but well above the 1 MiB daemon default.
+/// batch frames up to kFlushStates delta-encoded assignment sequences —
+/// far below this, but well above the 1 MiB daemon default.
 constexpr std::size_t kFrameCap = std::size_t{1} << 26;
 
 /// Expansions between unsolicited status frames (liveness + budget
 /// feedback; the Mattern counters ride along).
 constexpr std::uint32_t kStatusPeriod = 128;
 
-/// Idle-status exponential backoff (wire v2): first repeat idle status
+/// Idle-status exponential backoff: first repeat idle status
 /// waits this long, doubling up to the cap. The cap stays far below the
 /// worker's 100 ms park timeout so the final status of a search is
 /// never delayed meaningfully, while a worker being flooded with
@@ -108,9 +108,6 @@ constexpr std::uint32_t kStatusPeriod = 128;
 /// handful.
 constexpr std::uint64_t kIdleBackoffStartUs = 500;
 constexpr std::uint64_t kIdleBackoffCapUs = 8000;
-
-/// Auto outbox flush threshold under wire v2 (states per destination).
-constexpr std::uint32_t kAutoFlushStatesV2 = 256;
 
 std::uint64_t get_u64(const Json& j, const char* key) {
   j.at(key);  // required field: throw on absence rather than defaulting
@@ -220,12 +217,11 @@ class DistWorker {
     const bool owed =
         last_status_idle_ != 1 || last_status_rcvd_ != rcvd_batches_;
     if (owed) {
-      // Exponential backoff on repeat idle statuses (v2): the first
-      // report after going idle is immediate; a flood of duplicate
-      // imports only bumps rcvd, and those reports coalesce under a
-      // growing delay. v1 reports every change immediately.
+      // Exponential backoff on repeat idle statuses: the first report
+      // after going idle is immediate; a flood of duplicate imports only
+      // bumps rcvd, and those reports coalesce under a growing delay.
       const auto waited = static_cast<std::uint64_t>(idle_backoff_.micros());
-      if (wire_ver_ < 2 || waited >= idle_backoff_us_) {
+      if (waited >= idle_backoff_us_) {
         send_status(/*idle=*/true);
         idle_backoff_us_ = idle_backoff_us_ == 0
                                ? kIdleBackoffStartUs
@@ -271,18 +267,14 @@ class DistWorker {
 
   void after_expand() {
     const std::uint64_t n = expander_->stats().expanded;
-    if (n % kStatusPeriod == 0) {
-      if (wire_ver_ < 2) flush_all();  // v1 baseline: flush per status
-      send_status(/*idle=*/false);
-    }
+    if (n % kStatusPeriod == 0) send_status(/*idle=*/false);
     pump_writes();
     if (n % kDrainPeriod == 0) {
-      // Age-based flush (wire v2): pending exports never sit much longer
-      // than flush_us_, so a neighbour starved for work is fed promptly
-      // even when no outbox reaches the size threshold.
-      if (wire_ver_ >= 2 && pending_states_ > 0 &&
-          clock_.micros() - pending_since_ >=
-              static_cast<std::int64_t>(flush_us_)) {
+      // Age-based flush: pending exports never sit much longer than
+      // kFlushAgeUs, so a neighbour starved for work is fed promptly even
+      // when no outbox reaches the size threshold.
+      if (pending_states_ > 0 &&
+          clock_.micros() - pending_since_ >= kFlushAgeUs) {
         flush_all();  // one synchronized cut: cheaper than per-owner
         pump_writes();  // staggering, which costs a gather write each
       }
@@ -305,6 +297,12 @@ class DistWorker {
   /// Expansions between frame drains: bounds and stop frames land within
   /// a few microseconds of work, without a poll() per pop.
   static constexpr std::uint64_t kDrainPeriod = 16;
+
+  /// Outbox flush thresholds: a destination's batch ships once it holds
+  /// kFlushStates states, and every nonempty batch ships once its oldest
+  /// state has waited kFlushAgeUs microseconds.
+  static constexpr std::uint32_t kFlushStates = 256;
+  static constexpr std::int64_t kFlushAgeUs = 2000;
 
   /// Every kFeatureStride-th node in priority-rank order is a feature node
   /// of the owner rule (AbstractOwner). A larger stride keeps more
@@ -347,12 +345,6 @@ class DistWorker {
     config_ = search_config_from_json(j.at("cfg"));
     procs_ = static_cast<std::uint32_t>(j.at("procs").as_number());
     OPTSCHED_REQUIRE(rank_ < procs_, "worker rank out of range");
-    wire_ver_ = static_cast<std::uint32_t>(j.at("wire").as_number());
-    OPTSCHED_REQUIRE(wire_ver_ == 1 || wire_ver_ == 2,
-                     "unknown wire codec version");
-    batch_size_ = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(j.at("batch").as_number()));
-    flush_us_ = static_cast<std::uint64_t>(get_u64(j, "flush_us"));
     mem_cap_ = static_cast<std::size_t>(get_u64(j, "mem_bytes"));
 
     problem_.emplace(graph_, *machine_,
@@ -361,16 +353,13 @@ class DistWorker {
     expander_.emplace(*problem_, config_);
     import_ctx_.emplace(*problem_);
     import_scratch_.assign(2 * std::size_t{problem_->num_nodes()}, 0.0);
-    import_finish_.assign(problem_->num_nodes(), 0.0);
-    import_proc_of_.assign(problem_->num_nodes(), machine::kInvalidProc);
-    import_proc_ready_.assign(problem_->num_procs(), 0.0);
+    import_replay_.emplace(*problem_);
     open_.select(*problem_, config_);
 
     incumbent_ = problem_->upper_bound();
     if (!j.at("seed_bound").is_null())
       incumbent_ = std::min(incumbent_, j.at("seed_bound").as_number());
 
-    outbox_.assign(procs_, {});
     enc_.assign(procs_, {});
     for (std::uint32_t k = 0; k < procs_; ++k) enc_[k].reset(k);
     send_filter_.assign(procs_, wire::SendFilter(std::size_t{1} << 14));
@@ -445,26 +434,19 @@ class DistWorker {
 
   /// Serialize a remote-owned child into its owner's batch.
   void ship(std::uint32_t owner, const State& child) {
-    // Send-side duplicate filter (v2): a signature already shipped to
-    // this owner is not re-serialized — the owner's SEEN check would
-    // drop it anyway, so suppressing the resend only saves wire traffic
-    // (DESIGN.md §11.3). v1 ships everything, as PR 9 did.
-    if (wire_ver_ >= 2 && !send_filter_[owner].fresh(child.sig)) {
+    // Send-side duplicate filter: a signature already shipped to this
+    // owner is not re-serialized — the owner's SEEN check would drop it
+    // anyway, so suppressing the resend only saves wire traffic
+    // (DESIGN.md §11.3).
+    if (!send_filter_[owner].fresh(child.sig)) {
       ++deduped_;
       return;
     }
-    if (wire_ver_ >= 2) {
-      if (pending_states_ == 0) pending_since_ = clock_.micros();
-      enc_[owner].append(child_sequence(child), child.f());
-      ++pending_states_;
-      ++serialized_;
-      if (enc_[owner].count() >= batch_size_) flush(owner);
-    } else {
-      outbox_[owner].push_back(
-          state_msg_to_json({child_sequence(child), child.f()}));
-      ++serialized_;
-      if (outbox_[owner].size() >= batch_size_) flush(owner);
-    }
+    if (pending_states_ == 0) pending_since_ = clock_.micros();
+    enc_[owner].append(child_sequence(child), child.f());
+    ++pending_states_;
+    ++serialized_;
+    if (enc_[owner].count() >= kFlushStates) flush(owner);
   }
 
   void offer_goal(double len,
@@ -512,24 +494,10 @@ class DistWorker {
   }
 
   void flush(std::uint32_t owner) {
-    if (wire_ver_ >= 2) {
-      auto& enc = enc_[owner];
-      if (enc.empty()) return;
-      pending_states_ -= enc.count();
-      queue_frame(enc.take_frame());
-    } else {
-      if (outbox_[owner].empty()) return;
-      Json states{Json::Array{}};
-      for (auto& s : outbox_[owner]) states.push_back(std::move(s));
-      outbox_[owner].clear();
-      Json frame;
-      frame["t"] = "batch";
-      frame["to"] = owner;
-      frame["states"] = std::move(states);
-      std::string line = frame.dump();
-      line += '\n';
-      queue_frame(std::move(line));
-    }
+    auto& enc = enc_[owner];
+    if (enc.empty()) return;
+    pending_states_ -= enc.count();
+    queue_frame(enc.take_frame());
     ++batches_out_;
   }
 
@@ -544,26 +512,13 @@ class DistWorker {
     if (idle && last_status_idle_ == 1 && last_status_rcvd_ == rcvd_batches_)
       return;
     max_open_ = std::max(max_open_, open_.size());
-    if (wire_ver_ >= 2) {
-      wire::StatusMsg s;
-      s.idle = idle;
-      s.rcvd = rcvd_batches_;
-      s.exp = expander_->stats().expanded;
-      s.open = open_.size();
-      s.min_f = open_.empty() ? kInf : open_.min_f();
-      queue_frame(wire::encode_status(s));
-    } else {
-      Json st;
-      st["t"] = "status";
-      st["idle"] = idle;
-      st["rcvd"] = rcvd_batches_;
-      st["exp"] = expander_->stats().expanded;
-      st["open"] = static_cast<std::uint64_t>(open_.size());
-      st["minf"] = open_.empty() ? Json() : Json(open_.min_f());
-      std::string line = st.dump();
-      line += '\n';
-      queue_frame(std::move(line));
-    }
+    wire::StatusMsg s;
+    s.idle = idle;
+    s.rcvd = rcvd_batches_;
+    s.exp = expander_->stats().expanded;
+    s.open = open_.size();
+    s.min_f = open_.empty() ? kInf : open_.min_f();
+    queue_frame(wire::encode_status(s));
     last_status_idle_ = idle ? 1 : 0;
     last_status_rcvd_ = rcvd_batches_;
   }
@@ -645,27 +600,15 @@ class DistWorker {
                      "unexpected binary frame type for a worker");
     const Json j = Json::parse(fr.raw);
     const std::string& t = j.at("t").as_string();
-    if (t == "batch") {
-      if (!halted_)
-        for (const auto& s : j.at("states").as_array())
-          import_msg(state_msg_from_json(s));
-      ++rcvd_batches_;
-    } else if (t == "bound") {
-      incumbent_ = std::min(incumbent_, j.at("len").as_number());
-    } else if (t == "stop") {
-      stop_ = true;
-    } else {
-      OPTSCHED_REQUIRE(false, "unexpected frame type for a worker: " + t);
-    }
+    OPTSCHED_REQUIRE(t == "stop", "unexpected frame type for a worker: " + t);
+    stop_ = true;
   }
 
-  /// Rebuild a transferred state in the local arena — the same replay as
-  /// the in-process import (parallel_astar.cpp), plus owner-side
+  /// Rebuild a transferred state in the local arena — the replay the
+  /// in-process import shares (parallel/replay.hpp), plus owner-side
   /// duplicate detection, attached below the prefix it shares with the
   /// previous import.
   void import_msg(const StateMsg& msg) {
-    const auto& graph = problem_->graph();
-    const auto& machine = *machine_;
     const auto& seq = msg.assignments;
 
     // Phase 1: replay the machine simulation into flat scratch arrays
@@ -675,31 +618,13 @@ class DistWorker {
     // rollback, or context invalidation. On the bench corpus a large
     // share of imports are duplicates; this keeps them off the arena
     // entirely.
-    auto& finish = import_finish_;
-    auto& proc_of = import_proc_of_;
-    auto& proc_ready = import_proc_ready_;
-    std::fill(finish.begin(), finish.end(), 0.0);
-    std::fill(proc_of.begin(), proc_of.end(), machine::kInvalidProc);
-    std::fill(proc_ready.begin(), proc_ready.end(), 0.0);
-
-    util::Key128 sig = core::root_signature();
     std::uint64_t key = 0;
-    double g = 0.0;
-    for (const auto& [node, proc] : seq) {
-      double dat = 0.0;
-      for (const auto& [par, cost] : graph.parents(node))
-        dat = std::max(dat, finish[par] + machine.comm_delay(
-                                              cost, proc_of[par], proc,
-                                              problem_->comm()));
-      const double st = std::max(proc_ready[proc], dat);
-      const double ft = st + machine.exec_time(graph.weight(node), proc);
-      finish[node] = ft;
-      proc_of[node] = proc;
-      proc_ready[proc] = ft;
-      g = std::max(g, ft);
-      sig = core::extend_signature(sig, node, proc, ft);
-      key += owner_->term(node, proc);
-    }
+    const SequenceReplay::Step last =
+        import_replay_->run(seq, [&](const SequenceReplay::Step& r) {
+          key += owner_->term(r.node, r.proc);
+        });
+    const double g = last.g;
+    const util::Key128& sig = last.sig;
 
     if (seq.size() == problem_->num_nodes()) {
       offer_goal(g, seq);  // goals ride goal frames, but
@@ -722,7 +647,7 @@ class DistWorker {
     for (std::size_t i = k; i < seq.size(); ++i) {
       const auto [node, proc] = seq[i];
       State s;
-      s.finish = finish[node];
+      s.finish = import_replay_->finish(node);
       s.sig = core::extend_signature(arena_.sig(parent), node, proc, s.finish);
       s.g = std::max(arena_.hot(parent).g, s.finish);
       s.h = 0.0;  // interior-chain h is never read; the final h is below
@@ -752,9 +677,6 @@ class DistWorker {
   UnixStream stream_;
   std::uint32_t rank_ = 0;
   std::uint32_t procs_ = 1;
-  std::uint32_t wire_ver_ = kWireVersion;
-  std::uint32_t batch_size_ = 16;
-  std::uint64_t flush_us_ = 500;
   std::size_t mem_cap_ = 0;  ///< 0 = unlimited
 
   dag::TaskGraph graph_;
@@ -765,9 +687,7 @@ class DistWorker {
   std::optional<Expander> expander_;
   std::optional<core::ExpansionContext> import_ctx_;
   std::vector<double> import_scratch_;
-  std::vector<double> import_finish_;
-  std::vector<ProcId> import_proc_of_;
-  std::vector<double> import_proc_ready_;
+  std::optional<SequenceReplay> import_replay_;
   /// Assignment sequence and arena indices (one per depth) of the last
   /// imported chain — the attach point for the next import.
   std::vector<std::pair<NodeId, ProcId>> chain_seq_;
@@ -777,11 +697,10 @@ class DistWorker {
   StateArena arena_;
   Frontier open_;
   util::FlatSet128 seen_{16};
-  std::vector<std::vector<Json>> outbox_;   ///< per-owner pending (wire v1)
-  std::vector<wire::BatchEncoder> enc_;     ///< per-owner pending (wire v2)
+  std::vector<wire::BatchEncoder> enc_;     ///< per-owner pending batch
   std::vector<wire::SendFilter> send_filter_;  ///< per-owner shipped sigs
   std::vector<std::string> pending_writes_;    ///< frames awaiting one writev
-  std::uint64_t pending_states_ = 0;  ///< states across all v2 outboxes
+  std::uint64_t pending_states_ = 0;  ///< states across all outboxes
   util::Timer clock_;                 ///< worker-lifetime monotonic clock
   std::int64_t pending_since_ = 0;    ///< stamp when pending went 0 -> 1
 
@@ -861,8 +780,6 @@ class DistCoordinator {
   }
 
  private:
-  bool wire_v2() const { return config_.wire_version >= 2; }
-
   static std::string json_line(const Json& j) {
     std::string line = j.dump();
     line += '\n';
@@ -1042,7 +959,6 @@ class DistCoordinator {
     Json init;
     init["t"] = "init";
     init["v"] = kWireVersion;
-    init["wire"] = config_.wire_version;
     init["graph"] = graph_to_json(problem_.graph());
     init["machine"] = machine_to_json(problem_.machine());
     init["comm"] = static_cast<int>(problem_.comm());
@@ -1055,14 +971,6 @@ class DistCoordinator {
     const std::size_t cap = config_.search.max_memory_bytes;
     init["mem_bytes"] = static_cast<std::uint64_t>(
         cap ? std::max<std::size_t>(1, cap / procs_) : 0);
-    // Outbox flush threshold: explicit batch= option, else 256 under the
-    // binary codec and the PR 9 steal_batch default under v1 (so the v1
-    // baseline's flush cadence stays bit-for-bit comparable).
-    init["batch"] = config_.flush_states
-                        ? config_.flush_states
-                        : (wire_v2() ? kAutoFlushStatesV2
-                                     : config_.steal_batch);
-    init["flush_us"] = config_.flush_us;
     return json_line(init);
   }
 
@@ -1089,7 +997,7 @@ class DistCoordinator {
       if (ev->kind == Event::kEof) fail(ev->rank, "socket closed");
       if (ev->kind == Event::kFail) fail(ev->rank, ev->error);
 
-      // Binary hot frames (wire v2). A batch is relayed *verbatim* — the
+      // Binary hot frames. A batch is relayed *verbatim* — the
       // coordinator reads only the destination and count varints at the
       // head of the payload, never the states.
       if (ev->frame.type == wire::FrameType::kBatch) {
@@ -1130,41 +1038,13 @@ class DistCoordinator {
         OPTSCHED_REQUIRE(
             static_cast<std::uint32_t>(j.at("rank").as_number()) == ev->rank,
             "worker rank mismatch");
-      } else if (t == "batch") {
-        const auto to = static_cast<std::uint32_t>(j.at("to").as_number());
-        OPTSCHED_REQUIRE(to < procs_, "batch routed to unknown worker");
-        states_relayed_ += j.at("states").as_array().size();
-        ++batches_relayed_;
-        // Enqueue-count *before* the frame can reach the worker: the
-        // soundness order DistTermination documents.
-        term_.on_enqueue(to);
-        Json relay;
-        relay["t"] = "batch";
-        relay["states"] = j.at("states");
-        enqueue(to, json_line(relay));
       } else if (t == "goal") {
         const double len = j.at("len").as_number();
         if (len < incumbent_len_ - 1e-9) {
           incumbent_len_ = len;
           incumbent_seq_ = assignments_from_json(j.at("a"));
-          broadcast(wire_v2() ? wire::encode_bound(len)
-                              : json_line([&] {
-                                  Json bound;
-                                  bound["t"] = "bound";
-                                  bound["len"] = len;
-                                  return bound;
-                                }()));
+          broadcast(wire::encode_bound(len));
         }
-      } else if (t == "status") {
-        WorkerHandle& w = *workers_[ev->rank];
-        w.expanded = get_u64(j, "exp");
-        w.min_f = j.at("minf").is_null() ? kInf : j.at("minf").as_number();
-        const bool idle = j.at("idle").as_bool();
-        const bool changed = term_.on_status(ev->rank, idle, get_u64(j, "rcvd"));
-        maybe_progress();
-        if (search.max_expansions && total_expanded() >= search.max_expansions)
-          return 1;
-        if (changed && idle && term_.quiescent()) return 0;
       } else if (t == "limit") {
         return static_cast<int>(j.at("reason").as_number());
       } else if (t == "err") {

@@ -9,7 +9,7 @@
 // and every generated state is either kept locally (owner == self) or
 // serialized as its assignment sequence and shipped to its owner through
 // the coordinator over AF_UNIX socketpairs (dist_protocol.hpp describes
-// the versioned newline-JSON frames).
+// the frames: binary batch/status/bound, JSON for the rest).
 //
 // Topology is a star on purpose: with every batch relayed through the
 // coordinator, one process observes every send and Mattern-style

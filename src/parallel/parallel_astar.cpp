@@ -12,6 +12,7 @@
 #include "core/search_kernel.hpp"
 #include "core/signature.hpp"
 #include "parallel/dist_transport.hpp"
+#include "parallel/replay.hpp"
 #include "util/timer.hpp"
 
 namespace optsched::par {
@@ -252,9 +253,7 @@ class Ppe final : public PpeHost {
         expander_(shared.problem, shared.config.search),
         import_ctx_(shared.problem),
         import_scratch_(2 * std::size_t{shared.problem.num_nodes()}, 0.0),
-        import_finish_(shared.problem.num_nodes(), 0.0),
-        import_proc_of_(shared.problem.num_nodes(), machine::kInvalidProc),
-        import_proc_ready_(shared.problem.num_procs(), 0.0),
+        import_replay_(shared.problem),
         open_(shared.config.search.epsilon, shared.problem.key_scale(),
               shared.queue_choice),
         link_(shared.transport->connect(id)),
@@ -469,9 +468,7 @@ class Ppe final : public PpeHost {
   Expander expander_;
   core::ExpansionContext import_ctx_;   ///< reused across imports
   std::vector<double> import_scratch_;  ///< h-evaluation scratch
-  std::vector<double> import_finish_;   ///< replay scratch, ditto
-  std::vector<ProcId> import_proc_of_;
-  std::vector<double> import_proc_ready_;
+  SequenceReplay import_replay_;        ///< replay scratch, ditto
   StateArena arena_;
   PpeOpen open_;
   std::unique_ptr<PpeLink> link_;
@@ -480,57 +477,32 @@ class Ppe final : public PpeHost {
 
 std::optional<PpeOpen::Item> Ppe::import_one(const StateMsg& msg) {
   const auto& problem = shared_.problem;
-  const auto& graph = problem.graph();
-  const auto& machine = problem.machine();
-
-  // Replay the assignment sequence, creating the chain of states locally.
-  auto& finish = import_finish_;
-  auto& proc_of = import_proc_of_;
-  auto& proc_ready = import_proc_ready_;
-  std::fill(finish.begin(), finish.end(), 0.0);
-  std::fill(proc_of.begin(), proc_of.end(), machine::kInvalidProc);
-  std::fill(proc_ready.begin(), proc_ready.end(), 0.0);
-
-  StateIndex parent = kNoParent;
-  util::Key128 sig = core::root_signature();
-  double g = 0.0;
-  std::uint32_t depth = 0;
 
   // The chain needs a local root to anchor replay for future expansions.
   State root;
-  root.sig = sig;
+  root.sig = core::root_signature();
   root.parent = kNoParent;
-  parent = arena_.add(root);
+  StateIndex parent = arena_.add(root);
 
-  for (const auto& [node, proc] : msg.assignments) {
-    double dat = 0.0;
-    for (const auto& [par, cost] : graph.parents(node))
-      dat = std::max(dat, finish[par] + machine.comm_delay(
-                                            cost, proc_of[par], proc,
-                                            problem.comm()));
-    const double st = std::max(proc_ready[proc], dat);
-    const double ft = st + machine.exec_time(graph.weight(node), proc);
-    finish[node] = ft;
-    proc_of[node] = proc;
-    proc_ready[proc] = ft;
-    g = std::max(g, ft);
-    sig = core::extend_signature(sig, node, proc, ft);
-    ++depth;
-
-    State s;
-    s.sig = sig;
-    s.finish = ft;
-    s.g = g;
-    s.h = 0.0;  // interior-chain h is never read; the final h is below
-    s.parent = parent;
-    s.node = node;
-    s.proc = proc;
-    s.depth = depth;
-    parent = arena_.add(s);
-  }
+  // Replay the assignment sequence, creating the chain of states locally.
+  std::uint32_t depth = 0;
+  const SequenceReplay::Step last =
+      import_replay_.run(msg.assignments, [&](const SequenceReplay::Step& r) {
+        State s;
+        s.sig = r.sig;
+        s.finish = r.finish;
+        s.g = r.g;
+        s.h = 0.0;  // interior-chain h is never read; the final h is below
+        s.parent = parent;
+        s.node = r.node;
+        s.proc = r.proc;
+        s.depth = ++depth;
+        parent = arena_.add(s);
+      });
   OPTSCHED_ASSERT(depth == msg.assignments.size());
+  const double g = last.g;
 
-  if (depth == shared_.problem.num_nodes()) {
+  if (depth == problem.num_nodes()) {
     shared_.offer_incumbent(g, msg.assignments);
     return std::nullopt;
   }
@@ -546,7 +518,7 @@ std::optional<PpeOpen::Item> Ppe::import_one(const StateMsg& msg) {
   arena_.patch_h(parent, h);  // so re-sharing this state sends the right f
   OPTSCHED_ASSERT(std::abs((g + h) - msg.f) < 1e-6);
 
-  link_->record_signature(sig);  // best effort; duplicates tolerated
+  link_->record_signature(last.sig);  // best effort; duplicates tolerated
   return PpeOpen::Item{g + h, g, h, parent};
 }
 

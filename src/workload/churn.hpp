@@ -20,7 +20,8 @@
 //   100 * (1 - warm_expanded / cold_expanded) — both runs actually
 //   happened — unlike the session's own estimate against the previous
 //   solve. The by-step aggregates (and single_delta_skip_mean_pct) are
-//   what bench/run_resolve.sh commits to BENCH_pr6.json.
+//   what BENCH_pr6.json records; perfbench/run.py's resolve-churn
+//   workload measures the same warm resolves end to end.
 //
 // Runs are serial: a chain is inherently sequential, and the cold
 // reference runs interleave with the warm ones on the same thread so the

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "api/registry.hpp"
 #include "core/ida_star.hpp"
@@ -84,6 +86,31 @@ TEST(Registry, UndeclaredOptionRaisesInvalidRequest) {
     EXPECT_NE(std::string(e.what()).find("frobnicate"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("prune"), std::string::npos)
         << "error should list the valid option keys";
+  }
+}
+
+TEST(Registry, RetiredDistWireOptionsRaiseInvalidRequest) {
+  // mode=dist speaks one wire with fixed flush thresholds: its former
+  // codec and flush knobs are unknown options like any other.
+  for (const auto& [key, value] : {std::pair<const char*, const char*>{
+                                       "wire", "v1"},
+                                   {"batch", "8"},
+                                   {"flush-us", "0"}}) {
+    SolveRequest request = figure1_request();
+    request.options["mode"] = "dist";
+    request.options[key] = value;
+    try {
+      solve("parallel", request);
+      ADD_FAILURE() << "expected InvalidRequest for " << key;
+    } catch (const InvalidRequest& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("option '") + key + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("valid options"), std::string::npos) << what;
+      EXPECT_NE(what.find("procs"), std::string::npos)
+          << "error should list the valid option keys: " << what;
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Distributed HDA* transport: termination-detector unit tests driven
-// with delayed/reordered deliveries (no sockets), wire round-trips for
-// every init/batch payload, the abstract-key owner rule, end-to-end
+// with delayed/reordered deliveries (no sockets), JSON round-trips for
+// every init payload, the abstract-key owner rule, end-to-end
 // multi-process agreement with the serial A* optimum (and with serial
 // A*'s counters at one worker), every search limit (each must end in its
 // typed Termination with a valid schedule), and the worker-crash fault
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -159,18 +158,7 @@ TEST(DistProtocol, SearchConfigRoundTripsThroughJson) {
             search_config_to_json(config).dump());
 }
 
-TEST(DistProtocol, StateMsgRoundTripsBitExactly) {
-  StateMsg msg;
-  msg.assignments = {{0, 2}, {3, 1}, {1, 0}};
-  msg.f = 0.1 + 0.2;  // 0.30000000000000004 — no short decimal form
-  const StateMsg back = state_msg_from_json(state_msg_to_json(msg));
-  EXPECT_EQ(back.assignments, msg.assignments);
-  EXPECT_EQ(std::memcmp(&back.f, &msg.f, sizeof(double)), 0);
-}
-
 TEST(DistProtocol, MalformedFramesThrowTypedErrors) {
-  EXPECT_THROW(state_msg_from_json(util::Json::parse("{\"f\":1.0}")),
-               util::Error);
   EXPECT_THROW(graph_from_json(util::Json::parse("[]")), util::Error);
   EXPECT_THROW(assignments_from_json(util::Json::parse("[[1]]")),
                util::Error);
@@ -393,63 +381,6 @@ TEST(DistTransport, OneWorkerReproducesSerialCounters) {
         << "v=" << nodes << " seed=" << seed;
     EXPECT_GT(serial.stats.duplicates_dropped, 0u);
     EXPECT_EQ(dist.par_stats.states_serialized, 0u);
-  }
-}
-
-TEST(DistTransport, WireV1AndV2AgreeWithSerialOptimum) {
-  // The JSON wire (v1) stays frozen as the PR9-equivalent differential
-  // baseline; both wire versions must reproduce the serial optimum on
-  // the same instances.
-  for (const std::uint64_t seed : {7u, 13u}) {
-    dag::RandomDagParams p;
-    p.num_nodes = 9;
-    p.ccr = 1.0;
-    p.seed = seed;
-    const auto g = dag::random_dag(p);
-    const auto m = Machine::fully_connected(3);
-    const core::SearchProblem problem(g, m);
-    const auto serial = core::astar_schedule(problem);
-    ASSERT_TRUE(serial.proved_optimal);
-
-    for (const std::uint32_t wire : {1u, 2u}) {
-      ParallelConfig cfg;
-      cfg.mode = TransportMode::kDistributed;
-      cfg.num_ppes = 2;
-      cfg.wire_version = wire;
-      const auto dist = dist_astar_schedule(problem, cfg);
-      EXPECT_TRUE(dist.result.proved_optimal)
-          << "seed=" << seed << " wire=" << wire;
-      EXPECT_DOUBLE_EQ(dist.result.makespan, serial.makespan)
-          << "seed=" << seed << " wire=" << wire;
-      EXPECT_NO_THROW(sched::validate(dist.result.schedule));
-      if (wire == 1) {
-        // v1 has no send-side filter or gathered-write counters beyond
-        // what PR9 reported.
-        EXPECT_EQ(dist.par_stats.states_deduped_at_send, 0u);
-      }
-    }
-  }
-}
-
-TEST(DistTransport, FlushKnobExtremesStayCorrect) {
-  // batch=1 flushes every state (maximum frames), a huge batch with
-  // flush-us=0 leans entirely on the age-based flush — both degenerate
-  // settings must still find the optimum and terminate.
-  const auto g = dag::paper_figure1();
-  const auto m = Machine::paper_ring3();
-  const core::SearchProblem problem(g, m);
-  for (const auto& [batch, flush_us] :
-       {std::pair<std::uint32_t, std::uint32_t>{1, 500},
-        std::pair<std::uint32_t, std::uint32_t>{4096, 0}}) {
-    ParallelConfig cfg;
-    cfg.mode = TransportMode::kDistributed;
-    cfg.num_ppes = 2;
-    cfg.flush_states = batch;
-    cfg.flush_us = flush_us;
-    const auto r = dist_astar_schedule(problem, cfg);
-    EXPECT_DOUBLE_EQ(r.result.makespan, 14.0)
-        << "batch=" << batch << " flush_us=" << flush_us;
-    EXPECT_TRUE(r.result.proved_optimal);
   }
 }
 
