@@ -66,8 +66,8 @@ class SolverRegistry {
  private:
   SolverRegistry();
 
-  /// Reader-writer lock: the server's worker pool hits the read-only
-  /// accessors (info/validate/solve) from N threads per request, so
+  /// Reader-writer lock: the server's connection threads hit the
+  /// read-only accessors (info/validate/solve) concurrently, so
   /// readers take shared locks and only add() writes. instance()'s
   /// built-in registration happens once inside the static-local
   /// constructor, which the language serializes.

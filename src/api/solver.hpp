@@ -156,8 +156,8 @@ struct SolveStats {
   /// from the daemon's LRU result cache verbatim; `cache_lookups` and
   /// `cache_bytes` snapshot the daemon-lifetime lookup count and
   /// resident cache size at reply time; `queue_wait_ms` is the
-  /// admission-to-start wait in the daemon's worker pool (0 for hits,
-  /// which bypass the pool).
+  /// admission-to-start wait at the daemon's admission gate (0 for hits,
+  /// which bypass the gate).
   bool cache_hit = false;
   std::uint64_t cache_lookups = 0;
   std::size_t cache_bytes = 0;

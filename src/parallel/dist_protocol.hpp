@@ -18,7 +18,7 @@
 //     batch   binary: to, count, delta-encoded states   states owned by `to`
 //     goal    JSON {t, len, a:[[n,p]..]}       complete schedule found
 //     status  binary: idle, rcvd, exp, open, min_f  liveness + Mattern counters
-//     limit   JSON {t, reason}                 worker-side cap tripped
+//     limit   JSON {t}                         worker's memory cap tripped
 //     err     JSON {t, msg}                    typed failure before exit
 //     bye     JSON {t, <full counter set>}     final stats, then _exit(0)
 //
@@ -27,7 +27,7 @@
 //                   seed_bound, mem_bytes}
 //     batch   binary, another worker's batch relayed byte for byte
 //     bound   binary: len                      incumbent broadcast
-//     stop    JSON {t, reason}                 terminate (0 = quiescent)
+//     stop    JSON {t}                         terminate, then answer bye
 //
 // A state travels as its assignment sequence from the root — the same
 // self-contained representation the in-process transports ship

@@ -2,14 +2,16 @@
 // dist_transport.hpp for the architecture and dist_protocol.hpp for the
 // wire format.
 //
-// Concurrency layout, coordinator side: one reader thread and one writer
-// thread per worker plus the main event loop. Readers block in
-// read_line() and convert every frame (or EOF, or a socket error) into a
-// typed event on one queue; writers drain a per-worker outgoing deque so
-// the event loop never blocks on a full socket buffer while relaying a
-// batch (two workers flooding each other through a single-threaded relay
-// would deadlock). The event loop owns all search logic — incumbent,
-// budgets, termination — so none of it needs locks.
+// Concurrency layout, coordinator side: one thread, which owns all search
+// logic — incumbent, budgets, termination — so none of it needs locks, and
+// serves every worker socket from one poll() loop (next_frame()). Writes
+// never block: enqueue() hands the socket what it takes now
+// (UnixStream::write_some) and keeps the rest for POLLOUT. That is what
+// makes the relay deadlock-free: a worker blocked writing to the
+// coordinator is not reading, so a coordinator blocked writing to that
+// worker would wait forever. Never blocking on a write, the coordinator
+// keeps draining every worker, so each worker's write completes and it
+// goes back to reading its own socket.
 //
 // Worker side is single-threaded and runs the shared search kernel
 // (core/search_kernel.hpp): expand the best local state, ship
@@ -35,17 +37,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -393,7 +391,6 @@ class DistWorker {
     flush_all();  // ship pending work before going dark
     Json limit;
     limit["t"] = "limit";
-    limit["reason"] = 4;  // memory
     send_json(limit);
     halted_ = true;
     while (!stop_) {
@@ -723,28 +720,14 @@ class DistWorker {
 
 // ---- coordinator ---------------------------------------------------------
 
-struct Event {
-  enum Kind { kFrame, kEof, kFail };
-  Kind kind = kFrame;
-  std::uint32_t rank = 0;
-  wire::Frame frame;  ///< kFrame: binary frame, or JSON (parsed in `json`)
-  Json json;          ///< kFrame with frame.type == kJson
-  std::string error;  ///< kFail
-};
-
 struct WorkerHandle {
   pid_t pid = -1;
   UnixStream stream;
-  std::thread reader;
-  std::thread writer;
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::string> outq;  ///< pre-framed bytes (binary or line+'\n')
-  bool closing = false;
-
-  /// Bytes shipped by the writer thread; written only there, read after
-  /// the join in cleanup().
+  /// Framed bytes the socket has not taken yet (a backlog only while the
+  /// worker is not reading).
+  std::string out;
+  /// Bytes the socket took from the coordinator (relays, bounds, control).
   std::uint64_t bytes_written = 0;
 
   std::uint64_t expanded = 0;  ///< latest status
@@ -769,14 +752,13 @@ class DistCoordinator {
     spawn_all();
     for (std::uint32_t k = 0; k < procs_; ++k) enqueue(k, init_frame(k));
 
-    const int stop_code = event_loop();
+    const core::Termination reason = event_loop();
     Json stop;
     stop["t"] = "stop";
-    stop["reason"] = stop_code;
     broadcast(json_line(stop));
     collect_byes();
     cleanup();
-    return assemble(stop_code);
+    return assemble(reason);
   }
 
  private:
@@ -785,9 +767,10 @@ class DistCoordinator {
     line += '\n';
     return line;
   }
-  // ---- process + thread management ---------------------------------------
+  // ---- process management + socket I/O -----------------------------------
 
   void spawn_all() {
+    workers_.reserve(procs_);
     for (std::uint32_t k = 0; k < procs_; ++k) {
       int sv[2];
       OPTSCHED_REQUIRE(
@@ -825,130 +808,106 @@ class DistCoordinator {
                          std::string("posix_spawn failed: ") +
                              std::strerror(rc));
       }
-      auto w = std::make_unique<WorkerHandle>();
-      w->pid = pid;
-      w->stream = UnixStream(sv[0]);
-      workers_.push_back(std::move(w));
-    }
-    for (std::uint32_t k = 0; k < procs_; ++k) {
-      workers_[k]->reader = std::thread([this, k] { reader_main(k); });
-      workers_[k]->writer = std::thread([this, k] { writer_main(k); });
-    }
-  }
-
-  void reader_main(std::uint32_t rank) {
-    try {
-      wire::Frame fr;
-      while (wire::read_frame(workers_[rank]->stream, fr, kFrameCap)) {
-        Event ev{Event::kFrame, rank, {}, {}, {}};
-        if (fr.type == wire::FrameType::kJson) ev.json = Json::parse(fr.raw);
-        ev.frame = std::move(fr);
-        push_event(std::move(ev));
-      }
-      push_signal(Event::kEof, rank);
-    } catch (const std::exception& e) {
-      push_signal(Event::kFail, rank, e.what());
-    }
-  }
-
-  void writer_main(std::uint32_t rank) {
-    WorkerHandle& w = *workers_[rank];
-    std::vector<std::string> frames;
-    try {
-      for (;;) {
-        frames.clear();
-        {
-          std::unique_lock<std::mutex> lock(w.mu);
-          w.cv.wait(lock, [&] { return w.closing || !w.outq.empty(); });
-          if (w.outq.empty()) return;  // closing, fully drained
-          // Drain the whole queue: everything pending goes out in one
-          // gathered write instead of one syscall per frame.
-          while (!w.outq.empty()) {
-            frames.push_back(std::move(w.outq.front()));
-            w.outq.pop_front();
-          }
-        }
-        w.stream.write_gather(frames);
-        for (const auto& f : frames) w.bytes_written += f.size();
-      }
-    } catch (const std::exception& e) {
-      // The reader's EOF/Fail event carries the failure; a send error
-      // here is only reported if the reader somehow stays healthy.
-      push_signal(Event::kFail, rank, e.what());
+      WorkerHandle& w = workers_.emplace_back();
+      w.pid = pid;
+      w.stream = UnixStream(sv[0]);
+      pollfds_.push_back({sv[0], POLLIN, 0});
     }
   }
 
   /// Queue pre-framed bytes (a binary frame, or a JSON line with its
-  /// '\n') for worker `rank`.
-  void enqueue(std::uint32_t rank, std::string frame) {
-    WorkerHandle& w = *workers_[rank];
-    {
-      const std::lock_guard<std::mutex> lock(w.mu);
-      w.outq.push_back(std::move(frame));
-    }
-    w.cv.notify_one();
+  /// '\n') for worker `rank` and hand the socket what it takes now; the
+  /// rest goes out as the worker drains (POLLOUT in next_frame()).
+  void enqueue(std::uint32_t rank, std::string_view frame) {
+    WorkerHandle& w = workers_[rank];
     ++messages_sent_;
+    if (pollfds_[rank].fd < 0) return;  // exited after its bye
+    w.out.append(frame);
+    write_pending(rank);
   }
 
-  void broadcast(const std::string& frame) {
+  void broadcast(std::string_view frame) {
     for (std::uint32_t k = 0; k < procs_; ++k) enqueue(k, frame);
   }
 
-  void push_event(Event ev) {
-    {
-      const std::lock_guard<std::mutex> lock(ev_mu_);
-      events_.push_back(std::move(ev));
+  /// One non-blocking write of worker `rank`'s backlog. The coordinator
+  /// never blocks on a socket, so it keeps reading every worker while a
+  /// slow one catches up.
+  void write_pending(std::uint32_t rank) {
+    WorkerHandle& w = workers_[rank];
+    std::size_t n = 0;
+    try {
+      n = w.stream.write_some(w.out);
+    } catch (const std::exception& e) {
+      fail(rank, e.what());
     }
-    ev_cv_.notify_one();
+    w.bytes_written += n;
+    w.out.erase(0, n);
+    pollfds_[rank].events =
+        w.out.empty() ? POLLIN : static_cast<short>(POLLIN | POLLOUT);
   }
 
-  /// Queue a frameless event (kEof, or kFail with its error). Built as a
-  /// named local rather than a braced temporary: GCC 12 cannot see through
-  /// the temporary's Frame member on the exception path and reports a
-  /// -Wmaybe-uninitialized false positive.
-  void push_signal(Event::Kind kind, std::uint32_t rank,
-                   std::string error = {}) {
-    Event ev;
-    ev.kind = kind;
-    ev.rank = rank;
-    ev.error = std::move(error);
-    push_event(std::move(ev));
+  /// The next frame from any worker: one already buffered first (taken
+  /// round-robin, so a chatty worker cannot starve the rest), else
+  /// whatever one poll() of up to `timeout_ms` brings in. Returns the
+  /// sender's rank, or nullopt when no frame arrived; a JSON frame comes
+  /// back parsed in `json`. A socket error, a malformed frame or an EOF
+  /// before the worker's bye fails the solve naming the rank; EOF after
+  /// the bye retires the worker's socket.
+  std::optional<std::uint32_t> next_frame(wire::Frame& frame, Json& json,
+                                          int timeout_ms) {
+    for (bool polled = false;; polled = true) {
+      for (std::uint32_t i = 0; i < procs_; ++i) {
+        const std::uint32_t k = (next_rank_ + i) % procs_;
+        if (!wire::has_buffered_frame(workers_[k].stream)) continue;
+        next_rank_ = k + 1;
+        try {
+          wire::read_frame(workers_[k].stream, frame, kFrameCap);
+          if (frame.type == wire::FrameType::kJson)
+            json = Json::parse(frame.raw);
+        } catch (const std::exception& e) {
+          fail(k, e.what());
+        }
+        return k;
+      }
+      if (polled) return std::nullopt;
+      if (::poll(pollfds_.data(), pollfds_.size(), timeout_ms) < 0) {
+        OPTSCHED_REQUIRE(errno == EINTR, std::string("poll failed: ") +
+                                             std::strerror(errno));
+        return std::nullopt;  // interrupted: the caller polls again
+      }
+      for (std::uint32_t k = 0; k < procs_; ++k) {
+        const short revents = pollfds_[k].revents;
+        if (revents & POLLOUT) write_pending(k);
+        if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+        bool open = false;
+        try {
+          open = workers_[k].stream.fill_some();  // readable: cannot block
+        } catch (const std::exception& e) {
+          fail(k, e.what());
+        }
+        if (open) continue;
+        if (!workers_[k].got_bye) fail(k, "socket closed");
+        pollfds_[k].fd = -1;  // normal exit after the bye
+      }
+    }
   }
 
-  std::optional<Event> wait_event(int timeout_ms) {
-    std::unique_lock<std::mutex> lock(ev_mu_);
-    if (!ev_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                         [&] { return !events_.empty(); }))
-      return std::nullopt;
-    Event ev = std::move(events_.front());
-    events_.pop_front();
-    return ev;
-  }
-
-  /// Idempotent teardown: close writer queues, kill and reap every
-  /// worker, join the per-worker threads. SIGKILL is safe in every path —
-  /// a well-terminated worker already _exit()ed and the signal lands on
-  /// a zombie; a wedged or flooding worker is exactly what the kill is
-  /// for (it also unblocks a writer stuck on a full socket buffer).
+  /// Idempotent teardown: kill and reap every worker. SIGKILL is safe in
+  /// every path — a well-terminated worker already _exit()ed and the
+  /// signal lands on a zombie; a wedged or flooding worker is exactly
+  /// what the kill is for.
   void cleanup() {
     if (cleaned_) return;
     cleaned_ = true;
     for (auto& w : workers_) {
-      {
-        const std::lock_guard<std::mutex> lock(w->mu);
-        w->closing = true;
-      }
-      w->cv.notify_all();
-      if (w->pid > 0) ::kill(w->pid, SIGKILL);
+      if (w.pid > 0) ::kill(w.pid, SIGKILL);
     }
     for (auto& w : workers_) {
-      if (w->stream.valid()) w->stream.shutdown_io();
-      if (w->writer.joinable()) w->writer.join();
-      if (w->reader.joinable()) w->reader.join();
-      if (w->pid > 0) {
+      if (w.pid > 0) {
         int status = 0;
-        ::waitpid(w->pid, &status, 0);
-        w->pid = -1;
+        ::waitpid(w.pid, &status, 0);
+        w.pid = -1;
       }
     }
   }
@@ -981,27 +940,28 @@ class DistCoordinator {
     std::abort();  // unreachable (OPTSCHED_REQUIRE throws)
   }
 
-  /// Returns the stop reason: 0 quiescent (proof complete), 1 expansion
-  /// budget, 2 time budget, 3 cancelled, 4 memory cap.
-  int event_loop() {
+  /// Runs the search until it stops; returns why: kOptimal on quiescence
+  /// (the proof is complete), else the limit that ended it.
+  core::Termination event_loop() {
     const auto& search = config_.search;
+    wire::Frame frame;
+    Json j;
     for (;;) {
       if (search.time_budget_ms &&
           timer_.seconds() * 1000.0 >=
               static_cast<double>(search.time_budget_ms))
-        return 2;
-      if (search.controls.cancel.cancelled()) return 3;
+        return core::Termination::kTimeLimit;
+      if (search.controls.cancel.cancelled())
+        return core::Termination::kCancelled;
 
-      const auto ev = wait_event(25);
-      if (!ev) continue;
-      if (ev->kind == Event::kEof) fail(ev->rank, "socket closed");
-      if (ev->kind == Event::kFail) fail(ev->rank, ev->error);
+      const auto rank = next_frame(frame, j, 25);
+      if (!rank) continue;
 
       // Binary hot frames. A batch is relayed *verbatim* — the
       // coordinator reads only the destination and count varints at the
       // head of the payload, never the states.
-      if (ev->frame.type == wire::FrameType::kBatch) {
-        const auto payload = ev->frame.payload();
+      if (frame.type == wire::FrameType::kBatch) {
+        const auto payload = frame.payload();
         const std::uint32_t to = wire::batch_dest(payload);
         OPTSCHED_REQUIRE(to < procs_, "batch routed to unknown worker");
         states_relayed_ += wire::batch_count(payload);
@@ -1009,34 +969,34 @@ class DistCoordinator {
         // Enqueue-count *before* the frame can reach the worker: the
         // soundness order DistTermination documents.
         term_.on_enqueue(to);
-        enqueue(to, std::move(ev->frame.raw));
+        enqueue(to, frame.raw);
         continue;
       }
-      if (ev->frame.type == wire::FrameType::kStatus) {
-        const wire::StatusMsg s = wire::decode_status(ev->frame.payload());
-        WorkerHandle& w = *workers_[ev->rank];
+      if (frame.type == wire::FrameType::kStatus) {
+        const wire::StatusMsg s = wire::decode_status(frame.payload());
+        WorkerHandle& w = workers_[*rank];
         w.expanded = s.exp;
         w.min_f = s.min_f;
-        const bool changed = term_.on_status(ev->rank, s.idle, s.rcvd);
+        const bool changed = term_.on_status(*rank, s.idle, s.rcvd);
         maybe_progress();
         if (search.max_expansions && total_expanded() >= search.max_expansions)
-          return 1;
+          return core::Termination::kExpansionLimit;
         // Quiescence is re-evaluated only when the detector's state
         // changed (satellite of the status-backoff work): an unchanged
         // status cannot change the verdict, and quiescent() itself
         // caches on a dirty flag as a second guard.
-        if (changed && s.idle && term_.quiescent()) return 0;
+        if (changed && s.idle && term_.quiescent())
+          return core::Termination::kOptimal;
         continue;
       }
-      OPTSCHED_REQUIRE(ev->frame.type == wire::FrameType::kJson,
+      OPTSCHED_REQUIRE(frame.type == wire::FrameType::kJson,
                        "unexpected binary frame type for the coordinator");
-      const Json& j = ev->json;
       const std::string& t = j.at("t").as_string();
       if (t == "hello") {
         OPTSCHED_REQUIRE(j.at("v").as_number() == kWireVersion,
                          "wire version mismatch");
         OPTSCHED_REQUIRE(
-            static_cast<std::uint32_t>(j.at("rank").as_number()) == ev->rank,
+            static_cast<std::uint32_t>(j.at("rank").as_number()) == *rank,
             "worker rank mismatch");
       } else if (t == "goal") {
         const double len = j.at("len").as_number();
@@ -1046,11 +1006,12 @@ class DistCoordinator {
           broadcast(wire::encode_bound(len));
         }
       } else if (t == "limit") {
-        return static_cast<int>(j.at("reason").as_number());
+        // The memory cap is the only limit a worker arms.
+        return core::Termination::kMemoryLimit;
       } else if (t == "err") {
-        fail(ev->rank, j.at("msg").as_string());
+        fail(*rank, j.at("msg").as_string());
       } else {
-        fail(ev->rank, "unexpected frame type: " + t);
+        fail(*rank, "unexpected frame type: " + t);
       }
     }
   }
@@ -1062,26 +1023,21 @@ class DistCoordinator {
   void collect_byes() {
     std::uint32_t byes = 0;
     util::Timer grace;
+    wire::Frame frame;
+    Json j;
     while (byes < procs_) {
       OPTSCHED_REQUIRE(grace.seconds() < 30.0,
                        "dist worker ignored stop for 30s");
-      const auto ev = wait_event(50);
-      if (!ev) continue;
-      if (ev->kind == Event::kEof || ev->kind == Event::kFail) {
-        if (!workers_[ev->rank]->got_bye)
-          fail(ev->rank, ev->kind == Event::kEof ? "died before bye"
-                                                 : ev->error);
-        continue;  // EOF after bye: normal worker exit
-      }
+      const auto rank = next_frame(frame, j, 50);
+      if (!rank) continue;
       // Binary batches/statuses racing the stop: dropped (sound — a
       // quiescent stop guarantees none are in flight, and aborted stops
       // carry no proof).
-      if (ev->frame.type != wire::FrameType::kJson) continue;
-      const Json& j = ev->json;
+      if (frame.type != wire::FrameType::kJson) continue;
       const std::string& t = j.at("t").as_string();
       if (t == "bye") {
-        workers_[ev->rank]->bye = j;
-        workers_[ev->rank]->got_bye = true;
+        workers_[*rank].bye = j;
+        workers_[*rank].got_bye = true;
         ++byes;
       } else if (t == "goal") {
         const double len = j.at("len").as_number();
@@ -1090,14 +1046,14 @@ class DistCoordinator {
           incumbent_seq_ = assignments_from_json(j.at("a"));
         }
       } else if (t == "err") {
-        fail(ev->rank, j.at("msg").as_string());
+        fail(*rank, j.at("msg").as_string());
       }  // batches/statuses racing the stop: dropped
     }
   }
 
   std::uint64_t total_expanded() const {
     std::uint64_t total = 0;
-    for (const auto& w : workers_) total += w->expanded;
+    for (const auto& w : workers_) total += w.expanded;
     return total;
   }
 
@@ -1107,14 +1063,14 @@ class DistCoordinator {
     const std::uint64_t expanded = total_expanded();
     if (!progress_gate_.open(expanded)) return;
     double lb = kInf;
-    for (const auto& w : workers_) lb = std::min(lb, w->min_f);
+    for (const auto& w : workers_) lb = std::min(lb, w.min_f);
     controls.progress({expanded, lb == kInf ? 0.0 : lb,
                        incumbent_len_, timer_.seconds()});
   }
 
   // ---- result assembly ---------------------------------------------------
 
-  ParallelResult assemble(int stop_code) {
+  ParallelResult assemble(core::Termination reason) {
     ParallelResult out{
         core::SearchResult{sched::Schedule(problem_.graph(),
                                            problem_.machine(),
@@ -1134,24 +1090,15 @@ class DistCoordinator {
     sched::validate(out.result.schedule);
     out.result.makespan = out.result.schedule.makespan();
 
-    switch (stop_code) {
-      case 1: out.result.reason = core::Termination::kExpansionLimit; break;
-      case 2: out.result.reason = core::Termination::kTimeLimit; break;
-      case 3: out.result.reason = core::Termination::kCancelled; break;
-      case 4: out.result.reason = core::Termination::kMemoryLimit; break;
-      default:
-        // Quiescent under the sound rule; dist is exact-only, so the
-        // incumbent is optimal.
-        out.result.proved_optimal = true;
-        out.result.bound_factor = 1.0;
-        out.result.reason = core::Termination::kOptimal;
-        break;
-    }
+    // Only quiescence proves the incumbent optimal (dist is exact-only);
+    // every limit returns it unproved.
+    out.result.reason = reason;
+    out.result.proved_optimal = reason == core::Termination::kOptimal;
 
     core::SearchStats& st = out.result.stats;
     for (const auto& w : workers_) {
-      const Json& b = w->bye;
-      if (!w->got_bye) continue;  // unreachable: collect_byes throws first
+      const Json& b = w.bye;
+      if (!w.got_bye) continue;  // unreachable: collect_byes throws first
       st.expanded += get_u64(b, "exp");
       st.generated += get_u64(b, "gen");
       st.duplicates_dropped += get_u64(b, "dup");
@@ -1172,8 +1119,8 @@ class DistCoordinator {
       out.par_stats.bytes_sent += get_u64(b, "bytes");
       out.par_stats.expanded_per_ppe.push_back(get_u64(b, "exp"));
     }
-    // Coordinator-side relay bytes (writer threads are joined by now).
-    for (const auto& w : workers_) out.par_stats.bytes_sent += w->bytes_written;
+    // Coordinator-side bytes, counted as the sockets took them.
+    for (const auto& w : workers_) out.par_stats.bytes_sent += w.bytes_written;
     // Workers pick their OPEN list by the same rule from the same problem.
     const core::QueueChoice queue = core::choose_queue(problem_, config_.search);
     st.queue_kind = queue.use_bucket ? "bucket" : "heap";
@@ -1197,10 +1144,9 @@ class DistCoordinator {
   util::Timer timer_;
   core::ProgressGate progress_gate_{config_.search.controls};
 
-  std::vector<std::unique_ptr<WorkerHandle>> workers_;
-  std::mutex ev_mu_;
-  std::condition_variable ev_cv_;
-  std::deque<Event> events_;
+  std::vector<WorkerHandle> workers_;
+  std::vector<pollfd> pollfds_;  ///< one per worker, indexed by rank
+  std::uint32_t next_rank_ = 0;  ///< round-robin start in next_frame()
   bool cleaned_ = false;
 
   double incumbent_len_ = kInf;

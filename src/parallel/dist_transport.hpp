@@ -2,7 +2,7 @@
 //
 // The in-process transports (ring, ws) share one address space: PPEs pass
 // arena indices and atomics. This harness runs the same HDA* idea across
-// *processes* on one host: a coordinator forks N workers, each owning the
+// *processes* on one host: a coordinator spawns N workers, each owning the
 // states whose abstract key maps to its rank (AbstractOwner in
 // dist_protocol.hpp: the key hashes only the processors of every third
 // node in priority order, so most children keep their parent's owner),

@@ -153,8 +153,9 @@ double decode_bound(std::string_view payload);
 bool read_frame(util::UnixStream& s, Frame& out, std::size_t max_bytes);
 
 /// A complete frame is already buffered: the next read_frame() returns
-/// without touching the socket. The binary analogue of
-/// UnixStream::has_buffered_line(), aware of both framings.
+/// without touching the socket. poll()-driven callers must drain these
+/// before sleeping on the fd, or a buffered frame sits stranded behind a
+/// quiet socket.
 bool has_buffered_frame(const util::UnixStream& s);
 
 // ---- send-side duplicate filter ------------------------------------------

@@ -15,7 +15,7 @@
 //
 // A Client is single-threaded by design (one in-flight command per
 // connection); concurrent drivers open one Client per thread, which is
-// also how the daemon's worker pool receives concurrent load.
+// also how the daemon's connection threads receive concurrent load.
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 #include "server/daemon.hpp"
 
-#include <future>
+#include <algorithm>
+#include <chrono>
 
 #include "api/registry.hpp"
 #include "util/timer.hpp"
@@ -39,7 +40,9 @@ SolveOutcome make_outcome(const std::string& canonical_spec,
 }  // namespace
 
 Daemon::Daemon(DaemonConfig config)
-    : config_(std::move(config)), cache_(config_.cache_bytes) {
+    : config_(std::move(config)),
+      gate_(config_.workers, config_.queue_cap, config_.memory_budget),
+      cache_(config_.cache_bytes) {
   OPTSCHED_REQUIRE(!config_.socket_path.empty(),
                    "daemon needs a socket path");
   OPTSCHED_REQUIRE(
@@ -56,11 +59,6 @@ Daemon::~Daemon() {
 void Daemon::start() {
   OPTSCHED_REQUIRE(!started_, "daemon already started");
   listener_ = util::UnixListener::bind(config_.socket_path);
-  PoolConfig pool_config;
-  pool_config.workers = config_.workers;
-  pool_config.queue_cap = config_.queue_cap;
-  pool_config.memory_budget = config_.memory_budget;
-  pool_ = std::make_unique<WorkerPool>(pool_config);
   accept_thread_ = std::thread([this] { accept_loop(); });
   started_ = true;
 }
@@ -71,7 +69,12 @@ void Daemon::run() {
 }
 
 void Daemon::stop() {
-  stop_requested_.store(true, std::memory_order_release);
+  {
+    // Under mu_, so wait() cannot miss the wakeup between its check and
+    // its sleep.
+    const std::lock_guard<std::mutex> lock(mu_);
+    stop_requested_.store(true, std::memory_order_release);
+  }
   stop_cv_.notify_all();
 }
 
@@ -84,13 +87,22 @@ void Daemon::wait() {
     });
   }
   // Teardown order: cancel in-flight searches so they return promptly,
-  // stop the pool (joins workers, abandons queued jobs with typed
-  // replies), then unblock and join every connection reader.
+  // stop the gate (waiting solves reply kShuttingDown), then close the
+  // read side of every connection: an idle thread wakes with EOF, a busy
+  // one still writes its reply first. A thread not done after the grace
+  // period (blocked writing to a client that stopped reading) is cut off
+  // both ways. Then join them all.
   cancel_.cancel();
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (pool_) pool_->stop();
+  gate_.stop();
   {
-    const std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    for (auto& connection : connections_) connection.stream.shutdown_read();
+    stop_cv_.wait_for(lock, std::chrono::seconds(1), [this] {
+      return std::all_of(
+          connections_.begin(), connections_.end(),
+          [](const Connection& c) { return c.done; });
+    });
     for (auto& connection : connections_) connection.stream.shutdown_io();
   }
   for (auto& connection : connections_)
@@ -111,7 +123,7 @@ void Daemon::accept_loop() {
     // Reap connections whose reader already finished, so a long-lived
     // daemon does not accumulate one entry per historical client.
     for (auto it = connections_.begin(); it != connections_.end();) {
-      if (it->done.load(std::memory_order_acquire)) {
+      if (it->done) {
         if (it->thread.joinable()) it->thread.join();
         it = connections_.erase(it);
       } else {
@@ -167,7 +179,11 @@ void Daemon::serve_connection(Connection& connection) {
     }
   }
   connection.stream.shutdown_io();
-  connection.done.store(true, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    connection.done = true;
+  }
+  stop_cv_.notify_all();
 }
 
 std::string Daemon::handle_solve(const SolveCommand& command) {
@@ -212,54 +228,37 @@ std::string Daemon::handle_solve(const SolveCommand& command) {
   if (limits.max_memory_bytes == 0)
     limits.max_memory_bytes = config_.default_job_memory;
 
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
+  // Blocks FIFO for a running slot and throws typed admission rejects.
+  // The permit is released on return, before the caller writes the reply.
+  const AdmissionGate::Permit permit = gate_.admit(limits.max_memory_bytes);
+  try {
+    const util::Timer timer;
+    const workload::Instance instance =
+        workload::ScenarioSpec::parse(canonical_spec).materialize();
+    api::SolveRequest request(instance.graph, instance.machine,
+                              instance.comm);
+    request.limits = limits;
+    request.cancel = cancel_;
+    request.options = engine_options;
+    const api::SolveResult result = api::solve(engine_name, request);
 
-  WorkerPool::Job job;
-  job.memory_bytes = config_.memory_budget ? limits.max_memory_bytes : 0;
-  job.abandon = [promise] {
-    promise->set_value(encode_error(ErrorCode::kShuttingDown,
-                                    "daemon stopped before the job ran"));
-  };
-  job.deliver = [promise](std::string reply) {
-    promise->set_value(std::move(reply));
-  };
-  job.run = [this, key, canonical_spec, canonical_engine,
-             engine_name = engine_name, engine_options = engine_options,
-             limits, no_cache = command.no_cache](
-                double queue_wait_ms) -> std::string {
-    try {
-      const util::Timer timer;
-      const workload::Instance instance =
-          workload::ScenarioSpec::parse(canonical_spec).materialize();
-      api::SolveRequest request(instance.graph, instance.machine,
-                                instance.comm);
-      request.limits = limits;
-      request.cancel = cancel_;
-      request.options = engine_options;
-      const api::SolveResult result = api::solve(engine_name, request);
+    SolveOutcome outcome =
+        make_outcome(canonical_spec, canonical_engine, result);
+    if (!command.no_cache && cacheable(engine_name, result))
+      cache_.insert(key, outcome);
 
-      SolveOutcome outcome =
-          make_outcome(canonical_spec, canonical_engine, result);
-      if (!no_cache && cacheable(engine_name, result))
-        cache_.insert(key, outcome);
-
-      SolveReply reply;
-      reply.outcome = std::move(outcome);
-      reply.cache_hit = false;
-      const CacheStats cache_stats = cache_.stats();
-      reply.cache_lookups = cache_stats.lookups;
-      reply.cache_bytes = cache_stats.bytes;
-      reply.queue_wait_ms = queue_wait_ms;
-      reply.solve_ms = timer.millis();
-      return encode_solve_reply(reply);
-    } catch (const std::exception& e) {
-      return encode_error(ErrorCode::kSolveFailed, e.what());
-    }
-  };
-
-  pool_->submit(std::move(job));  // throws typed admission rejections
-  return future.get();
+    SolveReply reply;
+    reply.outcome = std::move(outcome);
+    reply.cache_hit = false;
+    const CacheStats cache_stats = cache_.stats();
+    reply.cache_lookups = cache_stats.lookups;
+    reply.cache_bytes = cache_stats.bytes;
+    reply.queue_wait_ms = permit.queue_wait_ms;
+    reply.solve_ms = timer.millis();
+    return encode_solve_reply(reply);
+  } catch (const std::exception& e) {
+    return encode_error(ErrorCode::kSolveFailed, e.what());
+  }
 }
 
 bool Daemon::cacheable(const std::string& engine_name,
@@ -283,17 +282,11 @@ bool Daemon::cacheable(const std::string& engine_name,
 
 StatusReply Daemon::status() const {
   StatusReply reply;
-  const PoolStatus pool_status = pool_->status();
-  reply.accepted = pool_status.accepted;
-  reply.completed = pool_status.completed;
-  reply.rejected = pool_status.rejected;
+  gate_.report(reply);
   reply.cache_hits_served =
       cache_hits_served_.load(std::memory_order_relaxed);
-  reply.queue_depth = pool_status.queue_depth;
   reply.queue_cap = config_.queue_cap;
-  reply.in_flight = pool_status.in_flight;
   reply.workers = std::max(1u, config_.workers);
-  reply.memory_reserved = pool_status.memory_reserved;
   reply.memory_budget = config_.memory_budget;
   reply.cache = cache_.stats();
   return reply;

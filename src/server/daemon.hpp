@@ -3,18 +3,19 @@
 // `optsched_cli serve --socket <path>` constructs a Daemon and calls
 // run(): it binds a Unix-domain listener, accepts connections, and
 // serves newline-delimited JSON commands (server/protocol.hpp). Each
-// connection gets a reader thread; solve commands flow
+// connection gets a thread that reads its commands and runs its solves;
+// solve commands flow
 //
 //   parse -> canonicalize (spec + engine) -> result-cache lookup
 //         -> [hit]  reply verbatim from the cache
-//         -> [miss] admission control -> worker pool -> solve -> reply
+//         -> [miss] admission gate -> solve -> release permit -> reply
 //                   (and insert into the cache when deterministic)
 //
-// Admission control (queue depth cap + per-job and global memory
-// governor) turns overload into typed reject frames instead of
-// unbounded queues or OOM — see worker_pool.hpp. The cache is keyed on
-// (canonical scenario line, canonical engine spec) and only stores
-// outcomes that are pure functions of that key: results whose
+// The admission gate (queue depth cap, memory governor, `workers` solves
+// at a time in FIFO order) turns overload into typed reject frames
+// instead of unbounded queues or OOM — see admission.hpp. The cache is
+// keyed on (canonical scenario line, canonical engine spec) and only
+// stores outcomes that are pure functions of that key: results whose
 // termination proves a complete deterministic run (optimal /
 // bounded-optimal / heuristic) from engines without the `parallel`
 // capability (a parallel engine may legitimately return a *different*
@@ -23,30 +24,30 @@
 //
 // A shutdown command (or stop() from another thread) drains the daemon:
 // the listener closes, in-flight solves are cancelled through the
-// shared CancellationToken, queued jobs are abandoned with typed
-// kShuttingDown replies, and every connection thread is joined before
-// run() returns.
+// shared CancellationToken, solves waiting at the gate get typed
+// kShuttingDown replies, connections stop reading and write the replies
+// they owe, and every connection thread is joined before run() returns.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "core/controls.hpp"
+#include "server/admission.hpp"
 #include "server/result_cache.hpp"
-#include "server/worker_pool.hpp"
 #include "util/socket.hpp"
 
 namespace optsched::server {
 
 struct DaemonConfig {
   std::string socket_path;
+  /// Solves running at once; further admitted solves wait FIFO.
   unsigned workers = 2;
-  std::size_t queue_cap = 64;
+  std::size_t queue_cap = 64;  ///< admitted solves allowed to wait
   /// Result-cache byte budget (0 disables caching).
   std::size_t cache_bytes = 64u << 20;
   /// Global memory governor across in-flight searches (0 disables).
@@ -67,14 +68,14 @@ class Daemon {
   explicit Daemon(DaemonConfig config);
   ~Daemon();
 
-  /// Bind the socket and launch the accept loop + worker pool. Throws
+  /// Bind the socket and launch the accept loop. Throws
   /// util::Error when the socket cannot be bound (e.g. a live daemon
   /// already listens there). Returns once the daemon is accepting, so
   /// tests and scripts can connect immediately after.
   void start();
 
   /// Block until a shutdown command arrives (or stop() is called), then
-  /// tear everything down: listener, in-flight jobs, connections.
+  /// tear everything down: listener, in-flight solves, connections.
   void wait();
 
   /// start() + wait() — the CLI entry point.
@@ -83,6 +84,7 @@ class Daemon {
   /// Request shutdown from any thread. Idempotent, non-blocking.
   void stop();
 
+  /// Counters and limits; valid at any time, before start() too.
   StatusReply status() const;
   const DaemonConfig& config() const { return config_; }
 
@@ -90,8 +92,9 @@ class Daemon {
   struct Connection {
     util::UnixStream stream;
     std::thread thread;
-    /// Set by the reader at exit so the accept loop can reap the entry.
-    std::atomic<bool> done{false};
+    /// Set by the connection thread at exit (under mu_) so the accept
+    /// loop can reap the entry and wait() can tell it has drained.
+    bool done = false;
   };
 
   void accept_loop();
@@ -103,7 +106,7 @@ class Daemon {
 
   const DaemonConfig config_;
   util::UnixListener listener_;
-  std::unique_ptr<WorkerPool> pool_;
+  AdmissionGate gate_;
   ResultCache cache_;
   core::CancellationToken cancel_;  ///< shared by every in-flight solve
 
@@ -112,7 +115,7 @@ class Daemon {
   std::thread accept_thread_;
   bool started_ = false;
 
-  std::mutex mu_;  ///< guards connections_ and stop_cv_
+  std::mutex mu_;  ///< guards connections_, their done flags, stop_cv_
   std::condition_variable stop_cv_;
   std::list<Connection> connections_;
 };

@@ -96,6 +96,10 @@ void UnixStream::shutdown_io() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
+void UnixStream::shutdown_read() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
+}
+
 void UnixStream::write_line(std::string_view line) {
   std::string frame(line);
   frame += '\n';
@@ -163,6 +167,18 @@ void UnixStream::write_gather(const std::vector<std::string>& frames) {
       ++next;
       offset = 0;
     }
+  }
+}
+
+std::size_t UnixStream::write_some(std::string_view bytes) {
+  OPTSCHED_REQUIRE(valid(), "write on a closed stream");
+  while (true) {
+    const ssize_t n = ::send(fd_, bytes.data(), bytes.size(),
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    throw_errno("send()");
   }
 }
 

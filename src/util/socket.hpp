@@ -20,8 +20,9 @@
 // The dist transport (DESIGN.md §11) additionally runs a binary framing
 // over the same streams; for that, UnixStream exposes its read-ahead
 // buffer (buffered()/consume()/fill_some()) so a caller can implement
-// its own frame boundary detection, and gathered writes (write_gather)
-// so many small frames cost one syscall.
+// its own frame boundary detection, gathered writes (write_gather) so
+// many small frames cost one syscall, and a non-blocking write_some() for
+// a coordinator that serves every worker from one poll() loop.
 #pragma once
 
 #include <cstddef>
@@ -49,16 +50,19 @@ class UnixStream {
 
   bool valid() const { return fd_ >= 0; }
   /// The underlying descriptor, for callers multiplexing with poll().
-  /// Check has_buffered_line() too: a frame already buffered does not
-  /// make the fd readable.
+  /// Check buffered() too: a frame already buffered does not make the fd
+  /// readable.
   int fd() const { return fd_; }
   void close();
 
   /// Half-close both directions without releasing the fd: a peer (or a
-  /// thread of our own) blocked in read_line() wakes up with EOF. Used
-  /// by the daemon to unblock connection reader threads at shutdown.
-  /// Safe to call from another thread while read_line() is in flight.
+  /// thread of our own) blocked in read_line() wakes up with EOF. Safe to
+  /// call from another thread while read_line() is in flight.
   void shutdown_io();
+
+  /// Close only our receive side: our own read_line() wakes with EOF
+  /// while writes still reach the peer.
+  void shutdown_read();
 
   /// Write `line` plus a trailing '\n', retrying partial writes.
   /// Throws util::Error when the peer is gone (no SIGPIPE).
@@ -74,20 +78,17 @@ class UnixStream {
   /// the peer is gone.
   void write_gather(const std::vector<std::string>& frames);
 
+  /// Non-blocking write of a prefix of `bytes`: returns how many bytes
+  /// the socket took, 0 when its buffer is full. Throws util::Error when
+  /// the peer is gone (no SIGPIPE).
+  std::size_t write_some(std::string_view bytes);
+
   /// Read one '\n'-terminated frame into `out` (newline stripped).
   /// Returns false on clean EOF at a frame boundary. Throws util::Error
   /// on a socket error, on EOF mid-frame, or when a frame exceeds
   /// `max_bytes` — the caller must treat that as fatal for the
   /// connection (the stream cannot resynchronize mid-line).
   bool read_line(std::string& out, std::size_t max_bytes = 1 << 20);
-
-  /// A complete frame is already buffered: the next read_line() returns
-  /// without touching the socket. poll()-driven callers must drain these
-  /// before sleeping on the fd, or a buffered frame sits stranded behind
-  /// a quiet socket.
-  bool has_buffered_line() const {
-    return buffer_.find('\n') != std::string::npos;
-  }
 
   // --- raw buffer access for callers implementing their own framing ---
   // (parallel/wire.hpp builds a length-prefixed binary framing on top;

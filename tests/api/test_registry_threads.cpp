@@ -1,5 +1,5 @@
-// SolverRegistry under concurrent access — the daemon's worker pool
-// reads the registry (contains/info/solve) from several threads while
+// SolverRegistry under concurrent access — the daemon's connection threads
+// read the registry (contains/info/solve) from several threads while
 // other code may still be registering engines. The registry serializes
 // writers and shares readers (std::shared_mutex); this smoke test drives
 // both sides at once under TSan-visible contention.

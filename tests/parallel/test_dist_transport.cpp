@@ -462,6 +462,25 @@ TEST(DistTransport, PreCancelledEndsCancelled) {
                  core::Termination::kCancelled);
 }
 
+/// An init frame several times the socket buffer goes out in many
+/// partial non-blocking writes, finished from the poll loop as each
+/// worker reads — the coordinator never blocks on a slow reader.
+TEST(DistTransport, InitFrameLargerThanTheSocketBuffer) {
+  dag::RandomDagParams p;
+  p.num_nodes = 500;
+  p.mean_children = 100.0;
+  p.seed = 5;
+  const auto g = dag::random_dag(p);
+  // The graph alone is a lower bound on the init frame's size.
+  ASSERT_GE(graph_to_json(g).dump().size(), std::size_t{512} << 10);
+  const Machine m = Machine::fully_connected(3);
+  const core::SearchProblem problem(g, m);
+  ParallelConfig cfg = limited_config();
+  cfg.search.max_expansions = 10;
+  expect_limited(dist_astar_schedule(problem, cfg),
+                 core::Termination::kExpansionLimit);
+}
+
 /// A worker SIGKILLed mid-search must surface as a typed util::Error
 /// naming the dead rank — never a hang on the quiescence condition and
 /// never a partial (wrong) result. The env hook makes the chosen rank

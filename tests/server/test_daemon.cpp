@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,19 +78,30 @@ ErrorCode code_of(const std::function<void()>& fn) {
 }
 
 // --- gated engine for deterministic admission-control tests ------------
-// Holds every solve until release() so tests can fill the worker pool
+// Holds every solve until release() so tests can fill the running slots
 // and the queue to exact depths.
 
 std::mutex g_gate_mu;
 std::condition_variable g_gate_cv;
 bool g_gate_open = true;
 int g_gate_running = 0;
+/// Node weights of every instance the gated engine started, in start
+/// order — identifies which spec ran when.
+std::vector<std::vector<double>> g_gate_started;
+
+std::vector<double> node_weights(const dag::TaskGraph& graph) {
+  std::vector<double> weights;
+  for (dag::NodeId n = 0; n < graph.num_nodes(); ++n)
+    weights.push_back(graph.weight(n));
+  return weights;
+}
 
 class GatedSolver : public api::Solver {
  public:
   api::SolveResult solve(const api::SolveRequest& request) const override {
     {
       std::unique_lock<std::mutex> lock(g_gate_mu);
+      g_gate_started.push_back(node_weights(*request.graph));
       ++g_gate_running;
       g_gate_cv.notify_all();
       g_gate_cv.wait(lock, [] { return g_gate_open; });
@@ -138,7 +150,45 @@ void register_gated_engine() {
   }
 }
 
+/// Poll status() until `queue_depth` reaches `depth`, for up to 10 s.
+void await_queue_depth(const Daemon& daemon, std::size_t depth) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.status().queue_depth < depth) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "queue never reached depth " << depth;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
+SolveCommand gated_command(std::uint64_t seed) {
+  SolveCommand command = solve_command(
+      "family=random nodes=6 ccr=1 machine=clique:2 seed=" +
+          std::to_string(seed),
+      "gated");
+  command.no_cache = true;
+  return command;
+}
+
 // -----------------------------------------------------------------------
+
+TEST(Daemon, StatusBeforeStartReportsIdle) {
+  DaemonConfig config = base_config();
+  config.workers = 3;
+  config.queue_cap = 5;
+  const Daemon daemon(config);
+  const StatusReply status = daemon.status();
+  EXPECT_EQ(status.accepted, 0u);
+  EXPECT_EQ(status.completed, 0u);
+  EXPECT_EQ(status.rejected, 0u);
+  EXPECT_EQ(status.cache_hits_served, 0u);
+  EXPECT_EQ(status.queue_depth, 0u);
+  EXPECT_EQ(status.in_flight, 0u);
+  EXPECT_EQ(status.memory_reserved, 0u);
+  EXPECT_EQ(status.queue_cap, 5u);
+  EXPECT_EQ(status.workers, 3u);
+  EXPECT_EQ(status.memory_budget, config.memory_budget);
+}
 
 TEST(Daemon, CacheHitBitAgreesWithColdSolve) {
   Daemon daemon(base_config());
@@ -356,6 +406,112 @@ TEST(Daemon, QueueCapRejectsOverloadedTyped) {
   second.join();
   daemon.stop();
   daemon.wait();
+}
+
+/// Solves admitted while the only running slot is taken start in the
+/// order they arrived.
+TEST(Daemon, AdmissionIsFifo) {
+  register_gated_engine();
+  DaemonConfig config = base_config();
+  config.workers = 1;
+  config.queue_cap = 3;
+  Daemon daemon(std::move(config));
+  daemon.start();
+
+  const std::vector<std::uint64_t> seeds = {31, 32, 33, 34};
+  std::vector<std::vector<double>> expected;
+  for (const std::uint64_t seed : seeds)
+    expected.push_back(node_weights(
+        workload::ScenarioSpec::parse(gated_command(seed).spec)
+            .materialize()
+            .graph));
+  for (std::size_t i = 1; i < expected.size(); ++i)
+    ASSERT_NE(expected[i], expected[i - 1]) << "seeds must be told apart";
+  {
+    const std::lock_guard<std::mutex> lock(g_gate_mu);
+    g_gate_started.clear();
+  }
+
+  GateClosed gate;
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    clients.emplace_back([&, i] {
+      Client client(daemon.config().socket_path);
+      EXPECT_NO_THROW(client.solve_raw(gated_command(seeds[i])));
+    });
+    // The first solve takes the slot; each later one must be queued
+    // before the next client connects, so arrival order is known.
+    if (i == 0)
+      gate.await_running(1);
+    else
+      await_queue_depth(daemon, i);
+  }
+  gate.release();
+  for (auto& client : clients) client.join();
+
+  {
+    const std::lock_guard<std::mutex> lock(g_gate_mu);
+    EXPECT_EQ(g_gate_started, expected);
+  }
+  daemon.stop();
+  daemon.wait();
+}
+
+/// stop() must answer a queued solve at once, even while the running one
+/// is still inside its engine.
+TEST(Daemon, QueuedJobGetsShuttingDownWhileAJobRuns) {
+  register_gated_engine();
+  DaemonConfig config = base_config();
+  config.workers = 1;
+  Daemon daemon(std::move(config));
+  daemon.start();
+
+  GateClosed gate;
+  std::thread running([&] {
+    Client client(daemon.config().socket_path);
+    try {
+      client.solve_raw(gated_command(41));
+    } catch (const util::Error&) {
+      // Cut off by the teardown or answered kShuttingDown: both fine.
+    }
+  });
+  gate.await_running(1);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<ErrorCode> queued_code;
+  std::thread queued([&] {
+    Client client(daemon.config().socket_path);
+    ErrorCode code = ErrorCode::kBadRequest;
+    try {
+      client.solve_raw(gated_command(42));
+    } catch (const ProtocolError& e) {
+      code = e.code;
+    } catch (const util::Error&) {
+      code = ErrorCode::kTransport;
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    queued_code = code;
+    cv.notify_all();
+  });
+  await_queue_depth(daemon, 1);
+
+  std::thread stopper([&] {
+    daemon.stop();
+    daemon.wait();
+  });
+  {
+    // The gate stays closed throughout: the running solve cannot finish.
+    std::unique_lock<std::mutex> lock(mu);
+    const bool answered = cv.wait_for(lock, std::chrono::seconds(10),
+                                      [&] { return queued_code.has_value(); });
+    EXPECT_TRUE(answered) << "queued solve not answered while a job runs";
+    EXPECT_EQ(queued_code, std::optional<ErrorCode>(ErrorCode::kShuttingDown));
+  }
+  gate.release();
+  queued.join();
+  running.join();
+  stopper.join();
 }
 
 TEST(Daemon, MemoryGovernorRejectsTyped) {
