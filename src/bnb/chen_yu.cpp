@@ -126,7 +126,7 @@ struct ChenYuPolicy {
   void expand(StateIndex idx) {
     ctx.move_to(arena, idx);
     ++result.expanded;
-    const util::Key128 parent_sig = arena.sig(idx);
+    const util::Key128& parent_sig = arena.sig(idx);
     const std::uint32_t parent_depth = arena.hot(idx).depth();
 
     for (const NodeId n : ctx.ready()) {

@@ -247,8 +247,8 @@ Expander::Expander(const SearchProblem& problem, const SearchConfig& config)
   ctx_.set_stats(&stats_);
 }
 
-bool Expander::evaluate_child(NodeId node, ProcId proc,
-                              double prune_bound) {
+bool Expander::evaluate_child(const util::Key128& parent_sig, NodeId node,
+                              ProcId proc, double prune_bound) {
   const double st = ctx_.start_time(node, proc);
   const double ft =
       st + problem_->machine().exec_time(problem_->graph().weight(node), proc);
@@ -287,7 +287,7 @@ bool Expander::evaluate_child(NodeId node, ProcId proc,
     }
   }
 
-  candidates_.push_back({extend_signature(parent_sig_, node, proc, ft), ft,
+  candidates_.push_back({extend_signature(parent_sig, node, proc, ft), ft,
                          child_g, h, node, proc});
   return true;
 }

@@ -251,7 +251,8 @@ class Expander {
   /// Phase 1 for (node -> proc): times, h and the upper-bound test on top
   /// of the loaded context. A survivor is appended to candidates_ (returns
   /// true); a pruned child only bumps its counter.
-  bool evaluate_child(NodeId node, ProcId proc, double prune_bound);
+  bool evaluate_child(const util::Key128& parent_sig, NodeId node,
+                      ProcId proc, double prune_bound);
 
   const SearchProblem* problem_;
   SearchConfig config_;
@@ -261,9 +262,6 @@ class Expander {
   std::vector<ProcId> proc_rep_;
   std::vector<bool> class_taken_;
   std::vector<Candidate> candidates_;  ///< phase-1 survivors, in order
-  /// Signature of the state being expanded, copied once per expand (a
-  /// reference into the cold array would dangle across arena growth).
-  util::Key128 parent_sig_{};
 };
 
 // ---- implementation of the templated members ----------------------------
@@ -273,7 +271,7 @@ void Expander::expand(StateArena& arena, Seen& seen, StateIndex index,
                       double prune_bound, Emit&& emit) {
   ctx_.move_to(arena, index);
   ++stats_.expanded;
-  parent_sig_ = arena.sig(index);
+  const util::Key128& parent_sig = arena.sig(index);
 
   const auto& autos = problem_->automorphisms();
   const std::uint32_t p = problem_->num_procs();
@@ -314,7 +312,7 @@ void Expander::expand(StateArena& arena, Seen& seen, StateIndex index,
         ++stats_.skipped_isomorphism;
         continue;
       }
-      if (evaluate_child(n, q, prune_bound) &&
+      if (evaluate_child(parent_sig, n, q, prune_bound) &&
           config_.prune.duplicate_detection) {
         if constexpr (requires { seen.prefetch(util::Key128{}); })
           seen.prefetch(candidates_.back().sig);

@@ -22,13 +22,14 @@
 // pops touch only the hot array, and the cold array stays out of cache
 // until the next generation burst. `State` remains as the generation-time
 // value type; `StateArena::add` splits it.
-//
-// Both arrays are plain vectors: all access is by index, and no caller may
-// hold a reference across an `add` (growth reallocates).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <new>
+#include <utility>
 
 #include "dag/graph.hpp"
 #include "machine/machine.hpp"
@@ -110,6 +111,20 @@ struct ColdState {
 
 class StateArena {
  public:
+  /// Records never move: segment k holds kFirstSegment << k states, and a
+  /// full arena adds the next segment, uninitialised, and copies nothing.
+  static constexpr std::size_t kFirstSegment = std::size_t{1} << 10;
+
+  StateArena() = default;
+  StateArena(StateArena&& o) noexcept { *this = std::move(o); }
+  StateArena& operator=(StateArena&& o) noexcept {
+    hot_ = std::move(o.hot_);
+    cold_ = std::move(o.cold_);
+    segments_ = std::exchange(o.segments_, 0);
+    size_ = std::exchange(o.size_, 0);
+    return *this;
+  }
+
   /// Engines call this once per solve: the packed hot record caps the
   /// instance size (far above exact-search tractability either way).
   static void require_packable(std::uint32_t num_nodes,
@@ -121,82 +136,98 @@ class StateArena {
   }
 
   StateIndex add(const State& s) {
-    const auto idx = static_cast<StateIndex>(hot_.size());
-    hot_.push_back({s.g + s.h, s.g, s.parent,
-                    HotState::pack(s.node, s.proc, s.depth)});
-    cold_.push_back({s.sig, s.finish});
+    const auto idx = static_cast<StateIndex>(size_);
+    if (size_ == capacity()) {  // full: add one segment, copy nothing
+      const std::size_t n = kFirstSegment << segments_;
+      hot_[segments_].reset(
+          static_cast<HotState*>(::operator new(n * sizeof(HotState))));
+      cold_[segments_].reset(
+          static_cast<ColdState*>(::operator new(n * sizeof(ColdState))));
+      ++segments_;
+    }
+    ::new (&at(hot_, idx)) HotState{s.g + s.h, s.g, s.parent,
+                                    HotState::pack(s.node, s.proc, s.depth)};
+    ::new (&at(cold_, idx)) ColdState{s.sig, s.finish};
+    ++size_;
     return idx;
   }
 
-  /// Pre-size both arrays. The parallel engine calls this from each PPE's
-  /// own thread after pinning, so the arena's first pages are first-touched
-  /// (hence NUMA-placed) where the PPE runs.
-  void reserve(std::size_t n) {
-    hot_.reserve(n);
-    cold_.reserve(n);
-  }
-
   const HotState& hot(StateIndex i) const {
-    OPTSCHED_ASSERT(i < hot_.size());
-    return hot_[i];
+    OPTSCHED_ASSERT(i < size_);
+    return at(hot_, i);
   }
 
   const util::Key128& sig(StateIndex i) const {
-    OPTSCHED_ASSERT(i < cold_.size());
-    return cold_[i].sig;
+    OPTSCHED_ASSERT(i < size_);
+    return at(cold_, i).sig;
   }
 
   double finish(StateIndex i) const {
-    OPTSCHED_ASSERT(i < cold_.size());
-    return cold_[i].finish;
+    OPTSCHED_ASSERT(i < size_);
+    return at(cold_, i).finish;
   }
 
   /// Start loading the stored finish time of state `i` into cache ahead
   /// of a finish(i) read — the context replay's check (a hint only).
   void prefetch_finish(StateIndex i) const noexcept {
-    OPTSCHED_ASSERT(i < cold_.size());
-    __builtin_prefetch(&cold_[i].finish);
+    OPTSCHED_ASSERT(i < size_);
+    __builtin_prefetch(&at(cold_, i).finish);
   }
 
   /// Re-derive f after recomputing h — used only to patch imported states
   /// after a PPE transfer so re-sharing them sends the right bound.
   void patch_h(StateIndex i, double h) {
-    OPTSCHED_ASSERT(i < hot_.size());
-    hot_[i].f = hot_[i].g + h;
+    OPTSCHED_ASSERT(i < size_);
+    at(hot_, i).f = at(hot_, i).g + h;
   }
 
-  std::size_t size() const noexcept { return hot_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
-  void clear() noexcept {
-    hot_.clear();
-    cold_.clear();
-  }
+  void clear() noexcept { size_ = 0; }
 
   /// Drop every state with index >= new_size (IDA*'s backtrack reclaim).
   /// Indices below new_size keep their contents; callers that cache loaded
   /// indices must invalidate anything at or above the cut.
   void truncate(std::size_t new_size) {
-    if (new_size < hot_.size()) {
-      hot_.resize(new_size);
-      cold_.resize(new_size);
-    }
+    if (new_size < size_) size_ = new_size;
   }
 
   /// Resident footprint of the search loop's working set.
   std::size_t hot_memory_bytes() const noexcept {
-    return hot_.capacity() * sizeof(HotState);
+    return capacity() * sizeof(HotState);
   }
   /// Generation/transfer-time footprint (signatures + stored finish times).
   std::size_t cold_memory_bytes() const noexcept {
-    return cold_.capacity() * sizeof(ColdState);
+    return capacity() * sizeof(ColdState);
   }
   std::size_t memory_bytes() const noexcept {
     return hot_memory_bytes() + cold_memory_bytes();
   }
 
  private:
-  std::vector<HotState> hot_;
-  std::vector<ColdState> cold_;
+  struct FreeRaw {
+    void operator()(void* p) const noexcept { ::operator delete(p); }
+  };
+  /// One record kind's segments; indices below 2^32 need 23 of them.
+  template <typename T>
+  using Segments = std::array<std::unique_ptr<T[], FreeRaw>, 23>;
+
+  /// State i: with j = i + 1024, segment bit_width(j) - 11, offset j - msb.
+  template <typename T>
+  static T& at(const Segments<T>& segs, StateIndex i) noexcept {
+    const std::uint64_t j = std::uint64_t{i} + kFirstSegment;
+    const auto seg = static_cast<std::size_t>(std::bit_width(j) - 11);
+    return segs[seg][j ^ (kFirstSegment << seg)];
+  }
+  /// States the allocated segments hold: 1024 * (2^segments - 1).
+  std::size_t capacity() const noexcept {
+    return (kFirstSegment << segments_) - kFirstSegment;
+  }
+
+  Segments<HotState> hot_;
+  Segments<ColdState> cold_;
+  std::size_t segments_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace optsched::core

@@ -361,7 +361,6 @@ class DistWorker {
     enc_.assign(procs_, {});
     for (std::uint32_t k = 0; k < procs_; ++k) enc_[k].reset(k);
     send_filter_.assign(procs_, wire::SendFilter(std::size_t{1} << 14));
-    arena_.reserve(std::size_t{1} << 12);
     seen_ = util::FlatSet128(std::size_t{1} << 10);
 
     // Every worker keeps one root as the anchor of its imported chains;

@@ -589,7 +589,6 @@ void Ppe::run() {
   if (pin_current_thread(shared_.config.pin, id_, shared_.config.num_ppes))
     shared_.pins_applied.fetch_add(1, std::memory_order_relaxed);
   open_.prepare();  // bucket calendar, when selected
-  arena_.reserve(std::size_t{1} << 12);
   link_->on_thread_start();
 
   initial_distribution();

@@ -12,9 +12,10 @@
 //            space PPEs out across the allowed set — best when each PPE is
 //            bandwidth-bound on its own arena
 //
-// Pinning pairs with first-touch initialization in Ppe::run(): the arena
-// and frontier reserve their pages from the worker's own thread *after*
-// the pin, so on NUMA machines the pages land on the pinned CPU's node.
+// Pinning pairs with first-touch initialization in Ppe::run(): the
+// frontier allocates its pages, and the arena writes each of its records,
+// from the worker's own thread *after* the pin, so on NUMA machines the
+// pages land on the pinned CPU's node.
 // Linux-only (sched_setaffinity); on other platforms pinning reports
 // failure and the run proceeds unpinned.
 #pragma once

@@ -69,8 +69,8 @@ const char* to_string(TransportMode mode);
 /// A transferred search state: the assignment sequence from the root.
 /// The receiver replays it to rebuild times, signature and cost — the
 /// same few dozen bytes the Paragon implementation shipped. Messages are
-/// self-contained so no transport ever reads another PPE's arena (arenas
-/// grow concurrently; cross-thread reads would race with reallocation).
+/// self-contained so no transport ever reads another PPE's arena (each
+/// arena is appended to by its own thread alone, without synchronization).
 struct StateMsg {
   std::vector<std::pair<dag::NodeId, machine::ProcId>> assignments;
   double f = 0.0;  ///< sender's f value (receiver recomputes and asserts)
