@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/closed_set.hpp"
 #include "core/open_list.hpp"
 #include "core/search_kernel.hpp"
 #include "core/signature.hpp"
@@ -79,13 +80,13 @@ double match_path(const SearchProblem& problem,
 struct ChenYuPolicy {
   ChenYuPolicy(const SearchProblem& p, const ChenYuConfig& c,
                ChenYuResult& r)
-      : problem(p), config(c), result(r), ctx(p), seen(1 << 12) {
+      : problem(p), config(c), result(r), ctx(p), seen(arena, 1 << 12) {
     ctx.set_stats(&replay_stats);
     State root;
     root.sig = core::root_signature();
     root.parent = kNoParent;
     const StateIndex root_idx = arena.add(root);
-    seen.insert(core::root_signature());
+    seen.insert(core::root_signature(), root_idx);
     open.push({0.0, 0.0, root_idx});
   }
 
@@ -95,7 +96,7 @@ struct ChenYuPolicy {
   StateArena arena;
   core::ExpansionContext ctx;
   core::ExpandStats replay_stats;  ///< move_to full/incremental counters
-  util::FlatSet128 seen;
+  core::ClosedSet seen;  ///< CLOSED: indices into `arena`
   OpenList open;
   OpenEntry current{};
   std::optional<StateIndex> goal;
@@ -142,7 +143,8 @@ struct ChenYuPolicy {
                                      &result.paths_evaluated));
 
         const util::Key128 sig = core::extend_signature(parent_sig, n, p, ft);
-        if (!seen.insert(sig)) continue;
+        if (!seen.insert(sig, static_cast<StateIndex>(arena.size())))
+          continue;
 
         State child;
         child.sig = sig;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/bucket_queue.hpp"
+#include "core/closed_set.hpp"
 #include "core/open_list.hpp"
 #include "core/search_kernel.hpp"
 #include "util/timer.hpp"
@@ -29,7 +30,7 @@ struct SearchDriver {
       : problem(p),
         config(c),
         expander(p, c),
-        seen(1 << 12),
+        seen(arena, 1 << 12),
         incumbent_len(p.upper_bound()),
         warm(w),
         guard(c.controls,
@@ -45,7 +46,7 @@ struct SearchDriver {
   SearchConfig config;
   Expander expander;
   StateArena arena;
-  util::FlatSet128 seen;
+  ClosedSet seen;  ///< CLOSED: indices into `arena`
   double incumbent_len;                  ///< best complete schedule known
   std::optional<StateIndex> incumbent;   ///< goal state achieving it (if any)
   /// Warm-start repaired incumbent (only when it beats the static U): the
@@ -206,7 +207,7 @@ struct AStarPolicy {
 };
 
 /// Seed OPEN + CLOSED from the arena. Cold start: a fresh root. Warm
-/// start: CLOSED is pre-populated with the retained signatures (sound:
+/// start: CLOSED is pre-populated with the retained states (sound:
 /// equal signatures imply an identical assignment multiset, hence equal
 /// g), h is re-derived against the new instance, and retained states go
 /// back onto OPEN — except skippable closed states (see WarmStart): for a
@@ -231,7 +232,7 @@ void seed_frontier(SearchDriver& d, Push&& push) {
   const double initial_prune = d.prune_bound();
   std::uint64_t skipped = 0;
   for (StateIndex i = 0; i < d.arena.size(); ++i) {
-    d.seen.insert(d.arena.sig(i));
+    d.seen.insert(d.arena.sig(i), i);
     if (warm_arena) {
       // Positions the expansion context on i (the guard test below reads
       // its ready list) and re-derives h against the new instance.

@@ -194,9 +194,12 @@ class Expander {
   /// reference is the generation record, valid only during the callback
   /// (copy it or re-read through the arena to keep it). `seen` is the
   /// pluggable duplicate-detection probe — any type with
-  /// `bool insert(const util::Key128&)` returning true for a first-seen
-  /// signature, and optionally `void prefetch(const util::Key128&)` as a
-  /// cache hint: the serial engines pass a thread-local FlatSet128, the
+  /// `bool insert(const util::Key128&)`, or
+  /// `bool insert(const util::Key128&, StateIndex)` (then it is also told
+  /// the arena index the child gets if inserted), returning true for a
+  /// first-seen signature, and optionally
+  /// `void prefetch(const util::Key128&)` as a cache hint: the serial
+  /// engines pass a ClosedSet over `arena` (core/closed_set.hpp), the
   /// parallel transports pass their mode's structure (PPE-local set, or
   /// the hash-sharded global table). `prune_bound` is the current
   /// upper-bound threshold (the incumbent makespan, or the static U in
@@ -324,9 +327,16 @@ void Expander::expand(StateArena& arena, Seen& seen, StateIndex index,
   // the same order of side effects as a single fused pass.
   const std::uint32_t child_depth = ctx_.depth_ + 1;
   for (const Candidate& c : candidates_) {
-    if (config_.prune.duplicate_detection && !seen.insert(c.sig)) {
-      ++stats_.duplicates_dropped;
-      continue;
+    if (config_.prune.duplicate_detection) {
+      bool fresh;
+      if constexpr (requires { seen.insert(c.sig, StateIndex{}); })
+        fresh = seen.insert(c.sig, static_cast<StateIndex>(arena.size()));
+      else
+        fresh = seen.insert(c.sig);
+      if (!fresh) {
+        ++stats_.duplicates_dropped;
+        continue;
+      }
     }
     State child;
     child.sig = c.sig;

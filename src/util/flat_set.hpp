@@ -1,11 +1,14 @@
 // Open-addressing hash set of 128-bit keys.
 //
-// The A* CLOSED/SEEN structure stores one 128-bit signature per generated
-// state; it is the hottest container in the search after the OPEN heap.
-// std::unordered_set's node allocations dominate at millions of inserts, so
-// we use a flat power-of-two table with linear probing and a max load factor
-// of 0.7. Zero (0,0) is reserved as the empty sentinel; real signatures are
-// never (0,0) by construction (core/signature.hpp mixes in a nonzero salt).
+// The parallel transports' SEEN sets (ring's PPE-local set, ws's sharded
+// table, the dist worker and the wire send filter) store one 128-bit
+// signature per key: their keys are not one arena's states, so they cannot
+// use core::ClosedSet, the serial engines' CLOSED, which stores arena
+// indices instead. std::unordered_set's node allocations dominate at
+// millions of inserts, so this is a flat power-of-two table with linear
+// probing and a max load factor of 0.7. Zero (0,0) is reserved as the
+// empty sentinel; real signatures are never (0,0) by construction
+// (core/signature.hpp mixes in a nonzero salt).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +29,12 @@ struct Key128 {
   }
   bool is_zero() const noexcept { return lo == 0 && hi == 0; }
 };
+
+/// Probe hash of a key: FlatSet128's home slot, and core::ClosedSet's home
+/// slot (low bits) and tag (top 32 bits).
+inline std::uint64_t key_hash(const Key128& key) noexcept {
+  return splitmix64(key.lo ^ (key.hi * 0x9ddfea08eb382d69ULL));
+}
 
 class FlatSet128 {
  public:
@@ -87,7 +96,7 @@ class FlatSet128 {
   }
 
   std::size_t index_of(const Key128& key) const noexcept {
-    return static_cast<std::size_t>(splitmix64(key.lo ^ (key.hi * 0x9ddfea08eb382d69ULL))) & mask_;
+    return static_cast<std::size_t>(key_hash(key)) & mask_;
   }
 
   void rehash(std::size_t new_cap) {

@@ -100,6 +100,33 @@ TEST(AStar, TimeLimitReturnsValidIncumbent) {
   EXPECT_NO_THROW(sched::validate(r.schedule));
 }
 
+TEST(AStar, MemoryCapAboveTheIndexClosedPeakProves) {
+  // Accounted peak of this solve: 20.8 MiB with CLOSED holding 8-byte
+  // arena indices (4 MiB at 2^19 slots), 24.8 MiB when CLOSED held the
+  // 16-byte signatures — which stopped it unproved under a 22 MiB cap.
+  dag::RandomDagParams p;
+  p.num_nodes = 10;
+  p.ccr = 10.0;
+  p.seed = 4;
+  const auto g = dag::random_dag(p);
+  const auto m = Machine::fully_connected(3);
+  SearchConfig cfg;
+  cfg.max_memory_bytes = std::size_t{22} << 20;
+  const auto r = astar_schedule(g, m, cfg);
+  EXPECT_TRUE(r.proved_optimal);
+  EXPECT_EQ(r.reason, Termination::kOptimal);
+  EXPECT_LT(r.stats.peak_memory_bytes, cfg.max_memory_bytes);
+
+  // Below the peak the cap still ends the search as a typed, unproved
+  // memory-limit result carrying a valid schedule.
+  cfg.max_memory_bytes = std::size_t{16} << 20;
+  const auto capped = astar_schedule(g, m, cfg);
+  EXPECT_FALSE(capped.proved_optimal);
+  EXPECT_EQ(capped.reason, Termination::kMemoryLimit);
+  EXPECT_NO_THROW(sched::validate(capped.schedule));
+  EXPECT_GE(capped.makespan, r.makespan - 1e-9);
+}
+
 TEST(AStar, WeightedAStarBoundHolds) {
   dag::RandomDagParams p;
   p.num_nodes = 10;
