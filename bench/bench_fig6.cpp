@@ -9,8 +9,9 @@
 // substitution: the paper measured wall-clock on a 16-node Intel Paragon;
 // PPEs here are threads, so wall-clock speedup saturates at the host's
 // hardware-thread count (printed below). The work ratio (parallel/serial
-// expansions, the paper's "extra states") and the PPE load balance carry
-// the machine-independent signal.
+// expansions, the paper's "extra states"), the transfer ratio (states
+// shipped between PPEs per parallel expansion) and the PPE load balance
+// carry the machine-independent signal.
 //
 //   $ ./bench_fig6 [--vmax N] [--budget-ms MS] [--ppes 2,4,8,16] [--full]
 #include <cstdio>
@@ -49,6 +50,7 @@ int main(int argc, char** argv) {
     for (const auto q : ppe_counts) {
       header.push_back("S(" + std::to_string(q) + ")");
       header.push_back("work(" + std::to_string(q) + ")");
+      header.push_back("xfer(" + std::to_string(q) + ")");
     }
     util::Table table(header);
 
@@ -77,7 +79,7 @@ int main(int argc, char** argv) {
       if (attempt < 0) {
         row.cell("TIMEOUT");
         for (std::size_t k = 0; k < ppe_counts.size(); ++k)
-          row.cell("-").cell("-");
+          row.cell("-").cell("-").cell("-");
         continue;
       }
       const auto graph =
@@ -91,25 +93,28 @@ int main(int argc, char** argv) {
         const auto r = api::solve("parallel", request);
         const double elapsed = t.seconds();
         if (!r.proved_optimal) {
-          row.cell("-").cell("-");
+          row.cell("-").cell("-").cell("-");
           continue;
         }
         if (r.makespan != serial_makespan) {
-          row.cell("MISMATCH").cell("-");
+          row.cell("MISMATCH").cell("-").cell("-");
           continue;
         }
+        const auto ratio = [](std::uint64_t num, std::uint64_t den) {
+          return den ? static_cast<double>(num) / static_cast<double>(den)
+                     : 0.0;
+        };
         row.cell(serial_time / elapsed, 2)
-            .cell(serial_expanded
-                      ? static_cast<double>(r.stats.search.expanded) /
-                            static_cast<double>(serial_expanded)
-                      : 0.0,
+            .cell(ratio(r.stats.search.expanded, serial_expanded), 2)
+            .cell(ratio(r.stats.states_transferred, r.stats.search.expanded),
                   2);
       }
     }
-    char title[96];
+    char title[160];
     std::snprintf(title, sizeof title,
                   "CCR = %.1f   (S(q) = wall speedup, work(q) = parallel/"
-                  "serial expansions)",
+                  "serial expansions, xfer(q) = states transferred per "
+                  "parallel expansion)",
                   ccr);
     table.print(std::cout, title);
     if (opt.csv) table.write_csv(std::cout);

@@ -689,10 +689,8 @@ int main(int argc, char** argv) try {
     std::string balance;
     for (const auto n : per_ppe)
       balance += (balance.empty() ? "" : "/") + std::to_string(n);
-    std::printf("parallel[%s]: %zu PPEs (%u pinned), expanded max/min "
-                "%llu/%llu (%s)\n",
+    std::printf("parallel[%s]: %zu PPEs, expanded max/min %llu/%llu (%s)\n",
                 result.stats.parallel_mode.c_str(), per_ppe.size(),
-                result.stats.pins_applied,
                 static_cast<unsigned long long>(
                     per_ppe.empty() ? 0 : per_ppe.front()),
                 static_cast<unsigned long long>(

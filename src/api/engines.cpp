@@ -203,17 +203,6 @@ class ParallelSolver : public Solver {
         opt_double(request.options, "parallel", "epsilon", 0.0);
     config.search.h = opt_h(request.options, "parallel");
     config.search.queue = opt_queue(request.options, "parallel");
-    const auto pin = request.options.find("pin");
-    if (pin != request.options.end()) {
-      if (pin->second == "none")
-        config.pin = par::PinPolicy::kNone;
-      else if (pin->second == "compact")
-        config.pin = par::PinPolicy::kCompact;
-      else if (pin->second == "spread")
-        config.pin = par::PinPolicy::kSpread;
-      else
-        bad_option("parallel", "pin", pin->second, "none|compact|spread");
-    }
     config.num_ppes = static_cast<std::uint32_t>(
         opt_int(request.options, "parallel", "ppes", 4, /*min_value=*/1));
     config.min_period = static_cast<std::uint32_t>(opt_int(
@@ -322,7 +311,6 @@ class ParallelSolver : public Solver {
               out.stats.expanded_per_ppe.end(),
               std::greater<std::uint64_t>());
     out.stats.effective_ppes = r.par_stats.effective_ppes;
-    out.stats.pins_applied = r.par_stats.pins_applied;
     out.stats.states_serialized = r.par_stats.states_serialized;
     out.stats.batches_sent = r.par_stats.batches_sent;
     out.stats.termination_rounds = r.par_stats.termination_rounds;
@@ -479,8 +467,6 @@ void register_builtin_engines(SolverRegistry& registry) {
          "the table's fixed allocation is checked against max_memory_bytes "
          "up front"},
         {"queue", "per-PPE OPEN list: auto|bucket|heap (default auto)"},
-        {"pin", "CPU placement per PPE: none|compact|spread (default none); "
-                "pins worker threads and first-touches their pages in place"},
         {"naive-term", "paper's first-goal termination: 0|1 (default 0)"}},
        [] { return std::make_unique<ParallelSolver>(); }});
   registry.add(

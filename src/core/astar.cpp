@@ -1,11 +1,9 @@
 #include "core/astar.hpp"
 
 #include <algorithm>
-#include <set>
 
-#include "core/bucket_queue.hpp"
 #include "core/closed_set.hpp"
-#include "core/open_list.hpp"
+#include "core/frontier.hpp"
 #include "core/search_kernel.hpp"
 #include "util/timer.hpp"
 
@@ -55,9 +53,6 @@ struct SearchDriver {
   WarmStart* warm = nullptr;           ///< null = cold solve
   std::vector<std::uint8_t> flags;     ///< per-arena expansion record (warm)
   std::vector<double> bounds;          ///< prune bound at expansion (warm)
-  const char* queue_kind = "";         ///< OPEN structure actually used
-  const char* queue_fallback = "";     ///< why not bucket (when applicable)
-  std::uint64_t bucket_peak = 0;
   util::Timer timer;
   KernelGuard guard;
 
@@ -108,8 +103,9 @@ struct SearchDriver {
     }
   }
 
+  /// `open` is null when no search ran (a warm instant proof).
   SearchResult finish(Termination reason, bool proved, double bound_factor,
-                      std::size_t max_open, std::size_t open_mem) {
+                      std::size_t max_open, const Frontier* open) {
     SearchResult result{
         incumbent ? reconstruct_schedule(problem, arena, *incumbent)
         : seed_schedule
@@ -119,34 +115,32 @@ struct SearchDriver {
     result.makespan = result.schedule.makespan();
     result.stats.absorb(expander.stats());
     result.stats.max_open_size = max_open;
-    result.stats.peak_memory_bytes =
-        arena.memory_bytes() + seen.memory_bytes() + open_mem;
+    result.stats.peak_memory_bytes = arena.memory_bytes() +
+                                     seen.memory_bytes() +
+                                     (open ? open->memory_bytes() : 0);
     result.stats.arena_hot_bytes = arena.hot_memory_bytes();
     result.stats.arena_cold_bytes = arena.cold_memory_bytes();
-    result.stats.queue_kind = queue_kind;
-    result.stats.queue_fallback = queue_fallback;
-    result.stats.bucket_peak = bucket_peak;
+    if (open) {
+      result.stats.queue_kind = open->queue_kind();
+      result.stats.queue_fallback = open->queue_fallback();
+      result.stats.bucket_peak = open->peak_span();
+    }
     result.stats.elapsed_seconds = timer.seconds();
     sched::validate(result.schedule);
     return result;
   }
 };
 
-// ---- plain A* (4-ary heap or bucket queue on (f, -g, index)) -------------
+// ---- plain A* (heap or bucket queue on (f, -g, index)) -------------------
 
-/// Peak-bucket-span counter: only the bucket queue has one.
-inline std::uint64_t queue_peak(const OpenList&) { return 0; }
-inline std::uint64_t queue_peak(const BucketQueue& q) { return q.peak_span(); }
-
-template <typename Queue>
 struct AStarPolicy {
-  AStarPolicy(SearchDriver& driver, Queue queue)
+  explicit AStarPolicy(SearchDriver& driver)
       : d(driver),
-        open(std::move(queue)),
+        open(driver.problem, driver.config),
         exact(driver.config.h_weight == 1.0) {}
 
   SearchDriver& d;
-  Queue open;
+  Frontier open;
   OpenEntry current{};  ///< last popped entry (f drives progress/domination)
   std::size_t max_open = 1;
   bool exact;
@@ -188,7 +182,7 @@ struct AStarPolicy {
         d.offer_goal(k);
         return;  // complete: nothing to expand
       }
-      open.push({child.f(), child.g, k});
+      open.push({child.f(), child.g, child.h, k});
     });
   }
 
@@ -218,8 +212,7 @@ struct AStarPolicy {
 /// has its expansion flags cleared: it is an OPEN member again, and if
 /// this run ends without expanding it a stale kExpanded would otherwise
 /// claim arena children that later compactions may have dropped.
-template <typename Push>
-void seed_frontier(SearchDriver& d, Push&& push) {
+void seed_frontier(SearchDriver& d, Frontier& open) {
   if (d.arena.size() == 0) d.arena.add(make_root());
   if (d.warm) {
     d.flags.resize(d.arena.size(), 0);
@@ -268,82 +261,47 @@ void seed_frontier(SearchDriver& d, Push&& push) {
                             : s.f >= d.incumbent_len - 1e-9;
       if (over && !d.is_goal_depth(s.depth())) continue;
     }
-    push(i);
+    const HotState& s = d.arena.hot(i);
+    open.push({s.f, s.g, s.h(), i});
   }
   if (d.warm) d.warm->states_skipped = skipped;
 }
 
-template <typename Queue>
-SearchResult run_astar_with(SearchDriver& d, Queue queue) {
-  AStarPolicy<Queue> p(d, std::move(queue));
-  seed_frontier(d, [&](StateIndex i) {
-    const HotState& s = d.arena.hot(i);
-    p.open.push({s.f, s.g, i});
-  });
+SearchResult run_astar(SearchDriver& d) {
+  AStarPolicy p(d);
+  seed_frontier(d, p.open);
 
   const double bound_factor = std::max(1.0, d.config.h_weight);
 
-  const auto hit = run_search_loop(d.guard, p);
-  d.bucket_peak = queue_peak(p.open);
-
-  if (hit)
-    return d.finish(*hit, false, bound_factor, p.max_open,
-                    p.open.memory_bytes());
+  if (const auto hit = run_search_loop(d.guard, p))
+    return d.finish(*hit, false, bound_factor, p.max_open, &p.open);
 
   if (p.goal_popped)
     return d.finish(
         p.exact ? Termination::kOptimal : Termination::kBoundedOptimal, true,
-        p.exact ? 1.0 : bound_factor, p.max_open, p.open.memory_bytes());
+        p.exact ? 1.0 : bound_factor, p.max_open, &p.open);
 
   // OPEN exhausted or dominated: every complete schedule not examined was
   // proven >= the incumbent, so the incumbent is optimal.
   return d.finish(Termination::kOptimal, p.exact,
-                  p.exact ? 1.0 : bound_factor, p.max_open,
-                  p.open.memory_bytes());
-}
-
-SearchResult run_astar(SearchDriver& d) {
-  const QueueChoice choice = choose_queue(d.problem, d.config);
-  d.queue_fallback = choice.fallback;
-  if (choice.use_bucket) {
-    d.queue_kind = "bucket";
-    return run_astar_with(
-        d, BucketQueue(d.problem.key_scale(), choice.max_f));
-  }
-  d.queue_kind = "heap";
-  return run_astar_with(d, OpenList());
+                  p.exact ? 1.0 : bound_factor, p.max_open, &p.open);
 }
 
 // ---- Aε* (FOCAL) ---------------------------------------------------------
 //
-// OPEN is an ordered set by (f, -g); FOCAL is the prefix with
-// f <= (1 + eps) * fmin, from which the entry with the smallest h (ties:
-// larger g, then smaller index — deterministic) is expanded. Theorem 2:
-// the first goal obtained this way costs at most (1+eps) * optimal.
-struct FocalEntry {
-  double f;
-  double g;
-  double h;
-  StateIndex index;
-
-  friend bool operator<(const FocalEntry& a, const FocalEntry& b) {
-    if (a.f != b.f) return a.f < b.f;
-    if (a.g != b.g) return a.g > b.g;
-    return a.index < b.index;
-  }
-};
-
+// The frontier pops by the FOCAL rule (core/frontier.hpp): the smallest h
+// within f <= (1 + eps) * fmin. Theorem 2: the first goal obtained this
+// way costs at most (1+eps) * optimal.
 struct FocalPolicy {
   explicit FocalPolicy(SearchDriver& driver)
-      : d(driver), eps(driver.config.epsilon) {
-    d.queue_kind = "focal";
-    if (d.config.queue != QueueSelect::kHeap) d.queue_fallback = "focal";
-  }
+      : d(driver),
+        open(driver.problem, driver.config),
+        eps(driver.config.epsilon) {}
 
   SearchDriver& d;
-  std::set<FocalEntry> open;
+  Frontier open;
   double eps;
-  FocalEntry current{};
+  OpenEntry current{};
   double fmin_at_pop = 0.0;  ///< frontier minimum when `current` was chosen
   std::size_t max_open = 1;
   bool goal_popped = false;
@@ -355,7 +313,7 @@ struct FocalPolicy {
     if (open.empty()) return true;  // let pop report exhaustion
     // (1+eps)-termination: the incumbent is already within the guarantee
     // of everything that remains (optimal >= fmin).
-    const double fmin = open.begin()->f;
+    const double fmin = open.min_f();
     if (d.incumbent_len <= (1.0 + eps) * fmin + 1e-9) {
       bound_reached = true;
       bound_exact = d.incumbent_len <= fmin + 1e-9;
@@ -366,25 +324,8 @@ struct FocalPolicy {
 
   bool pop(StateIndex& out) {
     if (open.empty()) return false;
-    fmin_at_pop = open.begin()->f;
-    const double bound = (1.0 + eps) * fmin_at_pop;
-
-    // Select min-h within the FOCAL prefix. Any member of FOCAL preserves
-    // the (1+eps) guarantee (Pearl & Kim: the secondary selection rule is
-    // free), so the scan is capped to keep selection O(1) amortized —
-    // beyond the cap the smallest-f member is as good a choice as any.
-    constexpr int kFocalScanCap = 64;
-    auto chosen = open.begin();
-    int scanned = 0;
-    for (auto it = open.begin(); it != open.end() && it->f <= bound + 1e-12 &&
-                                 scanned < kFocalScanCap;
-         ++it, ++scanned) {
-      const bool better =
-          it->h < chosen->h || (it->h == chosen->h && it->g > chosen->g);
-      if (better) chosen = it;
-    }
-    current = *chosen;
-    open.erase(chosen);
+    fmin_at_pop = open.min_f();
+    current = open.pop();
     out = current.index;
     return true;
   }
@@ -407,7 +348,7 @@ struct FocalPolicy {
         d.offer_goal(k);
         return;
       }
-      open.insert({child.f(), child.g, child.h, k});
+      open.push({child.f(), child.g, child.h, k});
     });
   }
 
@@ -415,15 +356,9 @@ struct FocalPolicy {
 
   std::uint64_t expanded_count() const { return d.expander.stats().expanded; }
 
-  /// Entry storage estimate for the FOCAL set (node-based; same factor as
-  /// the parallel engine's accounting).
-  std::size_t open_memory_bytes() const {
-    return open.size() * sizeof(FocalEntry) * 3;
-  }
-
   std::size_t memory_now() const {
     return d.arena.memory_bytes() + d.seen.memory_bytes() +
-           open_memory_bytes();
+           open.memory_bytes();
   }
 
   void maybe_progress(KernelGuard& guard) {
@@ -433,23 +368,19 @@ struct FocalPolicy {
 
 SearchResult run_focal(SearchDriver& d) {
   FocalPolicy p(d);
-  seed_frontier(d, [&](StateIndex i) {
-    const HotState& s = d.arena.hot(i);
-    p.open.insert({s.f, s.g, s.h(), i});
-  });
+  seed_frontier(d, p.open);
 
   const double bound_factor =
       (1.0 + p.eps) * std::max(1.0, d.config.h_weight);
 
   if (const auto hit = run_search_loop(d.guard, p))
-    return d.finish(*hit, false, bound_factor, p.max_open,
-                    p.open_memory_bytes());
+    return d.finish(*hit, false, bound_factor, p.max_open, &p.open);
 
   if (p.bound_reached)
     return d.finish(p.bound_exact ? Termination::kOptimal
                                   : Termination::kBoundedOptimal,
                     true, p.bound_exact ? 1.0 : bound_factor, p.max_open,
-                    p.open_memory_bytes());
+                    &p.open);
 
   if (p.goal_popped) {
     const bool is_exact =
@@ -457,12 +388,12 @@ SearchResult run_focal(SearchDriver& d) {
     return d.finish(is_exact ? Termination::kOptimal
                              : Termination::kBoundedOptimal,
                     true, is_exact ? 1.0 : bound_factor, p.max_open,
-                    p.open_memory_bytes());
+                    &p.open);
   }
 
   return d.finish(Termination::kOptimal, d.config.h_weight == 1.0,
                   d.config.h_weight == 1.0 ? 1.0 : bound_factor, p.max_open,
-                  p.open_memory_bytes());
+                  &p.open);
 }
 
 /// Move the previous arena in and compact it to the clean subset: a state
@@ -547,7 +478,7 @@ SearchResult astar_schedule(const SearchProblem& problem,
         warm->instant_proof = true;
         warm->warm_used = retained > 0 || driver.seed_schedule != nullptr;
         SearchResult result = driver.finish(Termination::kOptimal, true, 1.0,
-                                            /*max_open=*/0, /*open_mem=*/0);
+                                            /*max_open=*/0, nullptr);
         warm->arena = std::move(driver.arena);
         warm->expansion_flags.assign(warm->arena.size(), 0);
         warm->expansion_bounds.assign(warm->arena.size(), 0.0);

@@ -132,8 +132,9 @@ class BucketQueue {
   }
 
   /// Drain up to `count` entries from the *worst* end for load sharing,
-  /// never touching the best bucket (donating near-best states would
-  /// stall the donor — the same slack-band rule as OpenList).
+  /// worst first, never touching the best bucket (donating near-best
+  /// states would stall the donor — the same slack-band rule as OpenList,
+  /// and the same entries in the same order).
   ///
   /// `live_bound` is the incumbent bound at extraction time (see
   /// OpenList::extract_surplus): buckets at or above it are dead and are
@@ -150,12 +151,15 @@ class BucketQueue {
     const std::int64_t guard = cut_key(donation_threshold(f_of(best)));
     for (std::int64_t k = hi_key_; k >= guard && out.size() < count; --k) {
       Bucket& b = buckets_[static_cast<std::size_t>(k)];
-      while (!b.empty() && out.size() < count) {
-        std::pop_heap(b.begin(), b.end(), deeper_last);
-        out.push_back({f_of(k), b.back().g, b.back().index});
-        b.pop_back();
-        --size_;
-      }
+      // Ascending deeper_last order is worst first within the bucket.
+      const auto take = static_cast<std::ptrdiff_t>(
+          std::min(b.size(), count - out.size()));
+      std::partial_sort(b.begin(), b.begin() + take, b.end(), deeper_last);
+      for (auto it = b.begin(); it != b.begin() + take; ++it)
+        out.push_back({f_of(k), it->g, it->index});
+      b.erase(b.begin(), b.begin() + take);
+      std::make_heap(b.begin(), b.end(), deeper_last);
+      size_ -= static_cast<std::size_t>(take);
     }
     return out;
   }
@@ -267,7 +271,8 @@ struct QueueChoice {
 
 /// Decide heap vs bucket for a best-first engine. Bucket requires: an
 /// exact fixed-point key scale for the instance, h_weight == 1 (a weight
-/// multiplies h off the grid), epsilon == 0 (FOCAL uses its own set), a
+/// multiplies h off the grid), epsilon == 0 (FOCAL uses its own set; that
+/// reason is reported first), a
 /// finite f bound whose key span fits kMaxBuckets, and — for kComposite —
 /// the W/(p * max_speed) workload atom on the grid. queue=bucket still
 /// falls back on these (soundness is not configurable); queue=heap skips

@@ -101,13 +101,13 @@ QueueChoice choose_queue(const SearchProblem& problem,
                          const SearchConfig& config) {
   QueueChoice choice;
   if (config.queue == QueueSelect::kHeap) return choice;
+  if (config.epsilon > 0.0) {
+    choice.fallback = "focal";
+    return choice;
+  }
   const KeyScale& ks = problem.key_scale();
   if (!ks.exact) {
     choice.fallback = ks.reason;
-    return choice;
-  }
-  if (config.epsilon > 0.0) {
-    choice.fallback = "focal";
     return choice;
   }
   if (config.h_weight != 1.0) {

@@ -84,9 +84,10 @@ class OpenList {
   }
 
   /// Extract up to `count` entries for the parallel algorithm's load
-  /// sharing, worst-first and never from inside the donor's near-best slack
-  /// band (donation_threshold): handing away a second-best frontier state
-  /// would stall the donor. Entries are removed from this heap.
+  /// sharing, the worst ones, worst first, and never from inside the
+  /// donor's near-best slack band (donation_threshold): handing away a
+  /// second-best frontier state would stall the donor. Entries are removed
+  /// from this heap.
   ///
   /// `live_bound` is the *current* incumbent bound at extraction time:
   /// the donation band is computed against the frontier as pruned by that
@@ -167,10 +168,10 @@ inline std::vector<OpenEntry> OpenList::extract_surplus(std::size_t count,
       heap_[kept++] = heap_[i];  // the top always stays: threshold > top f
   }
   heap_.resize(kept);
+  const auto worse = [](const OpenEntry& a, const OpenEntry& b) {
+    return before(b, a);
+  };
   if (eligible.size() > count) {
-    const auto worse = [](const OpenEntry& a, const OpenEntry& b) {
-      return before(b, a);
-    };
     std::nth_element(eligible.begin(),
                      eligible.begin() + static_cast<std::ptrdiff_t>(count),
                      eligible.end(), worse);
@@ -179,6 +180,7 @@ inline std::vector<OpenEntry> OpenList::extract_surplus(std::size_t count,
                  eligible.end());
     eligible.resize(count);
   }
+  std::sort(eligible.begin(), eligible.end(), worse);
   result = std::move(eligible);
   for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i);
   return result;

@@ -47,10 +47,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/bucket_queue.hpp"
 #include "core/expansion.hpp"
-#include "core/heuristics.hpp"
-#include "core/open_list.hpp"
+#include "core/frontier.hpp"
 #include "core/search_kernel.hpp"
 #include "core/signature.hpp"
 #include "parallel/dist_protocol.hpp"
@@ -71,8 +69,6 @@ namespace {
 using core::Expander;
 using core::KernelGuard;
 using core::kNoParent;
-using core::OpenEntry;
-using core::OpenList;
 using core::SearchProblem;
 using core::State;
 using core::StateArena;
@@ -113,43 +109,6 @@ std::uint64_t get_u64(const Json& j, const char* key) {
 }
 
 // ---- worker --------------------------------------------------------------
-
-/// The worker's OPEN list: the bucket queue when core::choose_queue admits
-/// it for this instance and config, the 4-ary heap otherwise — the serial
-/// engine's rule, and both pop in the same (f, -g, index) order.
-class Frontier {
- public:
-  void select(const SearchProblem& problem, const core::SearchConfig& config) {
-    const core::QueueChoice choice = core::choose_queue(problem, config);
-    if (choice.use_bucket) bucket_.emplace(problem.key_scale(), choice.max_f);
-  }
-
-  bool empty() const { return bucket_ ? bucket_->empty() : heap_.empty(); }
-  std::size_t size() const { return bucket_ ? bucket_->size() : heap_.size(); }
-  double min_f() const { return bucket_ ? bucket_->top().f : heap_.top().f; }
-
-  void push(const OpenEntry& e) {
-    if (bucket_)
-      bucket_->push(e);
-    else
-      heap_.push(e);
-  }
-
-  OpenEntry pop() { return bucket_ ? bucket_->pop() : heap_.pop(); }
-
-  void clear() {
-    if (bucket_) bucket_->clear();
-    heap_.clear();
-  }
-
-  std::size_t memory_bytes() const {
-    return (bucket_ ? bucket_->memory_bytes() : 0) + heap_.memory_bytes();
-  }
-
- private:
-  std::optional<core::BucketQueue> bucket_;
-  OpenList heap_;
-};
 
 /// One worker process: owns the states whose abstract keys map to its
 /// rank (AbstractOwner) and searches them on the shared kernel
@@ -199,9 +158,10 @@ class DistWorker {
 
   bool pop(StateIndex& out) {
     // Fast-drop a fully dominated frontier (everything >= incumbent).
-    if (!open_.empty() && open_.min_f() >= incumbent_ - 1e-9) open_.clear();
-    if (open_.empty()) return false;
-    out = open_.pop().index;
+    if (!open_->empty() && open_->min_f() >= incumbent_ - 1e-9)
+      open_->clear();
+    if (open_->empty()) return false;
+    out = open_->pop().index;
     return true;
   }
 
@@ -285,7 +245,8 @@ class DistWorker {
   std::size_t memory_now() const {
     std::size_t filters = 0;
     for (const auto& f : send_filter_) filters += f.memory_bytes();
-    return arena_.memory_bytes() + open_.memory_bytes() +
+    return arena_.memory_bytes() + importer_->memory_bytes() +
+           open_->memory_bytes() +
            seen_.memory_bytes() + filters;
   }
 
@@ -307,10 +268,6 @@ class DistWorker {
   /// children local but leaves fewer abstract states to spread over the
   /// workers.
   static constexpr std::uint32_t kFeatureStride = 3;
-
-  /// Arena index of the worker's single root: every imported chain hangs
-  /// below it, so imports and local states share ancestors.
-  static constexpr StateIndex kRoot = 0;
 
   /// Duplicate-detection probe handed to the Expander. The owner of a
   /// child depends on its assignment, not only its signature, so the
@@ -349,10 +306,8 @@ class DistWorker {
                      static_cast<machine::CommMode>(comm));
     owner_.emplace(problem_->node_by_rank(), kFeatureStride, procs_);
     expander_.emplace(*problem_, config_);
-    import_ctx_.emplace(*problem_);
-    import_scratch_.assign(2 * std::size_t{problem_->num_nodes()}, 0.0);
-    import_replay_.emplace(*problem_);
-    open_.select(*problem_, config_);
+    importer_.emplace(*problem_, config_, arena_);
+    open_.emplace(*problem_, config_);
 
     incumbent_ = problem_->upper_bound();
     if (!j.at("seed_bound").is_null())
@@ -363,19 +318,18 @@ class DistWorker {
     send_filter_.assign(procs_, wire::SendFilter(std::size_t{1} << 14));
     seen_ = util::FlatSet128(std::size_t{1} << 10);
 
-    // Every worker keeps one root as the anchor of its imported chains;
-    // only the root's owner also seeds OPEN with it. Everyone else starts
-    // idle and gets fed through imports. (The root's abstract key is 0,
-    // which maps to an arbitrary rank — there is no coordinator-side seed
-    // expansion.)
+    // Every worker keeps one root, at index 0, as the anchor of its
+    // imported chains (Importer); only the root's owner also seeds OPEN
+    // with it. Everyone else starts idle and gets fed through imports.
+    // (The root's abstract key is 0, which maps to an arbitrary rank —
+    // there is no coordinator-side seed expansion.)
     State root;
     root.sig = core::root_signature();
     root.parent = kNoParent;
     const StateIndex root_idx = arena_.add(root);
-    OPTSCHED_ASSERT(root_idx == kRoot);
     if (owner_->owner(0) == rank_) {
       seen_.insert(root.sig);
-      open_.push({arena_.hot(kRoot).f, 0.0, kRoot});
+      open_->push({arena_.hot(root_idx).f, 0.0, 0.0, root_idx});
     }
   }
 
@@ -419,7 +373,7 @@ class DistWorker {
     } else if (child.depth == problem_->num_nodes()) {
       offer_goal(child.g, child_sequence(child));
     } else if (owner == rank_) {
-      open_.push({child.f(), child.g, idx});
+      open_->push({child.f(), child.g, child.h, idx});
       return;
     } else {
       ship(owner, child);
@@ -507,13 +461,13 @@ class DistWorker {
     // coordinator from its poll loop.
     if (idle && last_status_idle_ == 1 && last_status_rcvd_ == rcvd_batches_)
       return;
-    max_open_ = std::max(max_open_, open_.size());
+    max_open_ = std::max(max_open_, open_->size());
     wire::StatusMsg s;
     s.idle = idle;
     s.rcvd = rcvd_batches_;
     s.exp = expander_->stats().expanded;
-    s.open = open_.size();
-    s.min_f = open_.empty() ? kInf : open_.min_f();
+    s.open = open_->size();
+    s.min_f = open_->min_f();
     queue_frame(wire::encode_status(s));
     last_status_idle_ = idle ? 1 : 0;
     last_status_rcvd_ = rcvd_batches_;
@@ -539,7 +493,7 @@ class DistWorker {
     bye["flush"] = flushes_;
     bye["bytes"] = bytes_out_;
     bye["max_open"] = static_cast<std::uint64_t>(
-        std::max(max_open_, open_.size()));
+        std::max(max_open_, open_->size()));
     bye["mem"] = static_cast<std::uint64_t>(memory_now());
     bye["hot"] = static_cast<std::uint64_t>(arena_.hot_memory_bytes());
     bye["cold"] = static_cast<std::uint64_t>(arena_.cold_memory_bytes());
@@ -600,74 +554,25 @@ class DistWorker {
     stop_ = true;
   }
 
-  /// Rebuild a transferred state in the local arena — the replay the
-  /// in-process import shares (parallel/replay.hpp), plus owner-side
-  /// duplicate detection, attached below the prefix it shares with the
-  /// previous import.
+  /// Import a transferred state (parallel/replay.hpp): admitted only
+  /// when this worker owns it and its signature is fresh. Phase 1 leaves
+  /// the arena alone, so a duplicate (on the bench corpus a large share of
+  /// imports) or a stray goal costs the simulation and a hash probe, never
+  /// arena growth, rollback, or context invalidation.
   void import_msg(const StateMsg& msg) {
-    const auto& seq = msg.assignments;
-
-    // Phase 1: replay the machine simulation into flat scratch arrays
-    // only — signature and g fall out of it. The arena is not touched
-    // until the state is known to be fresh, so a duplicate (or a stray
-    // goal) costs the simulation and a hash probe, never arena growth,
-    // rollback, or context invalidation. On the bench corpus a large
-    // share of imports are duplicates; this keeps them off the arena
-    // entirely.
+    const SequenceReplay::Step& last = importer_->replay(msg);
+    if (msg.assignments.size() == problem_->num_nodes()) {
+      offer_goal(last.g, msg.assignments);  // goals ride goal frames, but
+      return;                               // tolerate one in a batch
+    }
     std::uint64_t key = 0;
-    const SequenceReplay::Step last =
-        import_replay_->run(seq, [&](const SequenceReplay::Step& r) {
-          key += owner_->term(r.node, r.proc);
-        });
-    const double g = last.g;
-    const util::Key128& sig = last.sig;
-
-    if (seq.size() == problem_->num_nodes()) {
-      offer_goal(g, seq);  // goals ride goal frames, but
-      return;              // tolerate one in a batch
-    }
+    for (const auto& [node, proc] : msg.assignments)
+      key += owner_->term(node, proc);
     OPTSCHED_ASSERT(owner_->owner(key) == rank_);
-    if (!seen_.insert(sig)) return;
-
-    // Phase 2 (fresh states only): attach below the longest prefix this
-    // sequence shares with the last materialized chain and add only the
-    // rest. A batch delta-encodes each state against the previous one
-    // (DESIGN.md §11.2), so sibling imports add a single record. Equal
-    // sequences denote equal states, so a shared record is exact.
-    std::size_t k = 0;
-    const std::size_t common = std::min(seq.size(), chain_seq_.size());
-    while (k < common && seq[k] == chain_seq_[k]) ++k;
-    chain_seq_.resize(k);
-    chain_idx_.resize(k);
-    StateIndex parent = k == 0 ? kRoot : chain_idx_[k - 1];
-    for (std::size_t i = k; i < seq.size(); ++i) {
-      const auto [node, proc] = seq[i];
-      State s;
-      s.finish = import_replay_->finish(node);
-      s.sig = core::extend_signature(arena_.sig(parent), node, proc, s.finish);
-      s.g = std::max(arena_.hot(parent).g, s.finish);
-      s.h = 0.0;  // interior-chain h is never read; the final h is below
-      s.parent = parent;
-      s.node = node;
-      s.proc = proc;
-      s.depth = static_cast<std::uint32_t>(i + 1);
-      parent = arena_.add(s);
-      chain_seq_.push_back(seq[i]);
-      chain_idx_.push_back(parent);
-    }
-    OPTSCHED_ASSERT(arena_.sig(parent) == sig);
-
-    // Recompute h for the imported state: consecutive imports share their
-    // chain prefix, so this move is a delta replay.
-    import_ctx_->move_to(arena_, parent);
-    const double h = core::evaluate_h(config_.h, *problem_,
-                                      import_ctx_->view(),
-                                      import_scratch_.data()) *
-                     config_.h_weight;
-    arena_.patch_h(parent, h);
-    OPTSCHED_ASSERT(std::abs((g + h) - msg.f) < 1e-6);
-    if (g + h >= incumbent_ - 1e-9) return;  // dominated: never popped
-    open_.push({g + h, g, parent});
+    if (!seen_.insert(last.sig)) return;
+    const core::Frontier::Entry e = importer_->attach(msg);
+    if (e.f >= incumbent_ - 1e-9) return;  // dominated: never popped
+    open_->push(e);
   }
 
   UnixStream stream_;
@@ -681,17 +586,11 @@ class DistWorker {
   std::optional<AbstractOwner> owner_;
   core::SearchConfig config_;
   std::optional<Expander> expander_;
-  std::optional<core::ExpansionContext> import_ctx_;
-  std::vector<double> import_scratch_;
-  std::optional<SequenceReplay> import_replay_;
-  /// Assignment sequence and arena indices (one per depth) of the last
-  /// imported chain — the attach point for the next import.
-  std::vector<std::pair<NodeId, ProcId>> chain_seq_;
-  std::vector<StateIndex> chain_idx_;
+  std::optional<Importer> importer_;
   std::vector<std::pair<NodeId, ProcId>> child_seq_;  ///< child_sequence()
 
   StateArena arena_;
-  Frontier open_;
+  std::optional<core::Frontier> open_;
   util::FlatSet128 seen_{16};
   std::vector<wire::BatchEncoder> enc_;     ///< per-owner pending batch
   std::vector<wire::SendFilter> send_filter_;  ///< per-owner shipped sigs

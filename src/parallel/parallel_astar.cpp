@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <set>
 #include <thread>
 #include <utility>
 
-#include "core/bucket_queue.hpp"
+#include "core/frontier.hpp"
 #include "core/open_list.hpp"
 #include "core/search_kernel.hpp"
 #include "core/signature.hpp"
@@ -18,6 +17,7 @@
 namespace optsched::par {
 
 using core::Expander;
+using core::Frontier;
 using core::kNoParent;
 using core::KernelGuard;
 using core::OpenEntry;
@@ -34,180 +34,18 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Per-PPE OPEN list: a 4-ary heap or bucket queue for exact A* (the
-/// instance-wide QueueChoice decides, same rules as the serial engine so
-/// measured speedups compare like with like), an ordered set with the
-/// FOCAL selection rule for Aε*.
-class PpeOpen {
- public:
-  /// One frontier entry for batched pushes.
-  struct Item {
-    double f, g, h;
-    StateIndex index;
-  };
-
-  PpeOpen(double epsilon, const core::KeyScale& ks,
-          const core::QueueChoice& choice)
-      : eps_(epsilon), ks_(&ks), choice_(&choice) {}
-
-  /// Allocate the bucket calendar (when selected) from the calling
-  /// thread: Ppe::run() calls this after pinning, so the array is
-  /// first-touched where the PPE executes. Must precede any push.
-  void prepare() {
-    if (eps_ == 0 && choice_->use_bucket && !bucket_)
-      bucket_.emplace(*ks_, choice_->max_f);
-  }
-
-  bool empty() const {
-    if (bucket_) return bucket_->empty();
-    return eps_ > 0 ? set_.empty() : heap_.empty();
-  }
-
-  std::size_t size() const {
-    if (bucket_) return bucket_->size();
-    return eps_ > 0 ? set_.size() : heap_.size();
-  }
-
-  double min_f() const {
-    if (empty()) return kInf;
-    if (bucket_) return bucket_->top().f;
-    return eps_ > 0 ? set_.begin()->f : heap_.top().f;
-  }
-
-  void push(double f, double g, double h, StateIndex idx) {
-    if (bucket_)
-      bucket_->push({f, g, idx});
-    else if (eps_ > 0)
-      set_.insert({f, g, h, idx});
-    else
-      heap_.push({f, g, idx});
-  }
-
-  /// Batched insert: one O(n) heapify for the heap case
-  /// (OpenList::push_batch) — used for transferred/stolen state batches.
-  void push_batch(const std::vector<Item>& items) {
-    if (eps_ > 0 && !bucket_) {
-      for (const Item& it : items) set_.insert({it.f, it.g, it.h, it.index});
-      return;
-    }
-    std::vector<OpenEntry> entries;
-    entries.reserve(items.size());
-    for (const Item& it : items) entries.push_back({it.f, it.g, it.index});
-    if (bucket_)
-      bucket_->push_batch(entries);
-    else
-      heap_.push_batch(entries);
-  }
-
-  /// Remove and return the next state to expand (A*: min (f, -g, index);
-  /// Aε*: min h within the f <= (1+eps)*fmin prefix, scan capped — any
-  /// FOCAL member preserves the guarantee; see core/astar.cpp).
-  StateIndex pop_best() {
-    OPTSCHED_ASSERT(!empty());
-    if (bucket_) return bucket_->pop().index;
-    if (eps_ == 0) return heap_.pop().index;
-    constexpr int kFocalScanCap = 64;
-    const double bound = (1.0 + eps_) * set_.begin()->f + 1e-12;
-    auto chosen = set_.begin();
-    int scanned = 0;
-    for (auto it = set_.begin();
-         it != set_.end() && it->f <= bound && scanned < kFocalScanCap;
-         ++it, ++scanned) {
-      const bool better =
-          it->h < chosen->h || (it->h == chosen->h && it->g > chosen->g);
-      if (better) chosen = it;
-    }
-    const StateIndex idx = chosen->index;
-    set_.erase(chosen);
-    return idx;
-  }
-
-  /// Remove up to `count` entries biased away from the best (load
-  /// sharing). `live_bound` is the incumbent bound *at extraction time*:
-  /// the underlying queues re-apply it so a donation band computed before
-  /// the incumbent tightened cannot ship dead states (f >= bound).
-  std::vector<StateIndex> extract_surplus(std::size_t count,
-                                          double live_bound) {
-    std::vector<StateIndex> out;
-    if (bucket_) {
-      for (const auto& e : bucket_->extract_surplus(count, live_bound))
-        out.push_back(e.index);
-      return out;
-    }
-    if (eps_ == 0) {
-      for (const auto& e : heap_.extract_surplus(count, live_bound))
-        out.push_back(e.index);
-      return out;
-    }
-    while (out.size() < count && set_.size() > 1) {
-      auto last = std::prev(set_.end());
-      out.push_back(last->index);
-      set_.erase(last);
-    }
-    return out;
-  }
-
-  /// Remove the up-to-`count` best entries (work-stealing donations).
-  std::vector<StateIndex> extract_best(std::size_t count) {
-    std::vector<StateIndex> out;
-    while (out.size() < count && !empty()) out.push_back(pop_best());
-    return out;
-  }
-
-  void clear() {
-    if (bucket_) bucket_->clear();
-    heap_.clear();
-    set_.clear();
-  }
-
-  /// Entry storage (heap capacity, or node estimate for the FOCAL set —
-  /// same factor as the serial Aε*'s accounting in core/astar.cpp).
-  std::size_t memory_bytes() const {
-    return (bucket_ ? bucket_->memory_bytes() : 0) + heap_.memory_bytes() +
-           set_.size() * sizeof(Entry) * 3;
-  }
-
-  /// Widest live [lo, hi] bucket-key span observed (0 in heap/FOCAL mode).
-  std::uint64_t peak_span() const {
-    return bucket_ ? bucket_->peak_span() : 0;
-  }
-
- private:
-  struct Entry {
-    double f, g, h;
-    StateIndex index;
-    friend bool operator<(const Entry& a, const Entry& b) {
-      if (a.f != b.f) return a.f < b.f;
-      if (a.g != b.g) return a.g > b.g;
-      return a.index < b.index;
-    }
-  };
-
-  double eps_;
-  const core::KeyScale* ks_;
-  const core::QueueChoice* choice_;
-  std::optional<core::BucketQueue> bucket_;  ///< engaged by prepare()
-  OpenList heap_;
-  std::set<Entry> set_;
-};
-
 struct Shared {
   Shared(const SearchProblem& p, const ParallelConfig& c)
       : problem(p),
         config(c),
-        queue_choice(core::choose_queue(p, c.search)),
         incumbent(std::min(p.upper_bound(), c.seed_upper_bound)),
         transport(make_transport(c, p, done)) {}
 
   const SearchProblem& problem;
   const ParallelConfig& config;
-  /// Instance-wide OPEN-structure decision, identical for every PPE (same
-  /// eligibility rules as the serial engine — core::choose_queue).
-  core::QueueChoice queue_choice;
   std::atomic<bool> done{false};  ///< before transport: it keeps a pointer
   core::SharedIncumbent<std::vector<std::pair<NodeId, ProcId>>> incumbent;
   std::unique_ptr<Transport> transport;
-  std::atomic<std::uint32_t> pins_applied{0};
 
   /// 0 none, 1 expansions, 2 time, 3 cancelled, 4 memory.
   std::atomic<int> abort_reason{0};
@@ -251,11 +89,8 @@ class Ppe final : public PpeHost {
       : shared_(shared),
         id_(id),
         expander_(shared.problem, shared.config.search),
-        import_ctx_(shared.problem),
-        import_scratch_(2 * std::size_t{shared.problem.num_nodes()}, 0.0),
-        import_replay_(shared.problem),
-        open_(shared.config.search.epsilon, shared.problem.key_scale(),
-              shared.queue_choice),
+        importer_(shared.problem, shared.config.search, arena_),
+        open_(shared.problem, shared.config.search),
         link_(shared.transport->connect(id)),
         progress_gate_(shared.config.search.controls) {}
 
@@ -268,12 +103,12 @@ class Ppe final : public PpeHost {
   /// Arena and dedup structures only grow, and OPEN is small next to
   /// them, so the end-of-run value is within one OPEN list of the peak.
   std::size_t memory_bytes() const {
-    return arena_.memory_bytes() + open_.memory_bytes() +
-           link_->memory_bytes();
+    return arena_.memory_bytes() + importer_.memory_bytes() +
+           open_.memory_bytes() + link_->memory_bytes();
   }
   std::size_t arena_hot_bytes() const { return arena_.hot_memory_bytes(); }
   std::size_t arena_cold_bytes() const { return arena_.cold_memory_bytes(); }
-  std::uint64_t bucket_peak() const { return open_.peak_span(); }
+  const Frontier& open() const { return open_; }
 
   // ---- kernel policy interface -------------------------------------------
 
@@ -286,7 +121,7 @@ class Ppe final : public PpeHost {
     if (!open_.empty() && dominated()) open_.clear();
     if (open_.empty()) return false;
     link_->mark_busy();
-    out = open_.pop_best();
+    out = open_.pop().index;
     return true;
   }
 
@@ -347,21 +182,15 @@ class Ppe final : public PpeHost {
     return inc <= (1.0 + shared_.config.search.epsilon) * fmin + 1e-9;
   }
 
-  StateIndex pop_best() override { return open_.pop_best(); }
+  StateIndex pop_best() override { return open_.pop().index; }
 
-  void push_index(StateIndex idx) override {
-    const core::HotState& s = arena_.hot(idx);
-    open_.push(s.f, s.g, s.h(), idx);
-  }
+  void push_index(StateIndex idx) override { open_.push(entry(idx)); }
 
   void push_batch(const std::vector<StateIndex>& indices) override {
-    std::vector<PpeOpen::Item> items;
-    items.reserve(indices.size());
-    for (const StateIndex idx : indices) {
-      const core::HotState& s = arena_.hot(idx);
-      items.push_back({s.f, s.g, s.h(), idx});
-    }
-    open_.push_batch(items);
+    std::vector<Frontier::Entry> entries;
+    entries.reserve(indices.size());
+    for (const StateIndex idx : indices) entries.push_back(entry(idx));
+    open_.push_batch(entries);
   }
 
   std::vector<StateIndex> extract_surplus(std::size_t n) override {
@@ -381,12 +210,23 @@ class Ppe final : public PpeHost {
     return {assignment_sequence(idx), arena_.hot(idx).f};
   }
 
+  /// Received states are always enqueued: the sender has dropped them
+  /// from its OPEN, and a local SEEN hit may stand for a copy this PPE has
+  /// itself shipped away, so dropping one could orphan it. Complete
+  /// schedules go to the incumbent.
   void import_batch(const std::vector<StateMsg>& msgs) override {
-    std::vector<PpeOpen::Item> items;
-    items.reserve(msgs.size());
-    for (const StateMsg& msg : msgs)
-      if (const auto item = import_one(msg)) items.push_back(*item);
-    open_.push_batch(items);
+    std::vector<Frontier::Entry> entries;
+    entries.reserve(msgs.size());
+    for (const StateMsg& msg : msgs) {
+      const SequenceReplay::Step& last = importer_.replay(msg);
+      if (msg.assignments.size() == shared_.problem.num_nodes()) {
+        shared_.offer_incumbent(last.g, msg.assignments);
+        continue;
+      }
+      link_->record_signature(last.sig);  // best effort; duplicates tolerated
+      entries.push_back(importer_.attach_or_reuse(msg));
+    }
+    open_.push_batch(entries);
   }
 
   std::vector<StateIndex> expand_collect(StateIndex idx) override {
@@ -429,6 +269,11 @@ class Ppe final : public PpeHost {
 
   bool exact() const { return shared_.config.search.epsilon == 0.0; }
 
+  Frontier::Entry entry(StateIndex idx) const {
+    const core::HotState& s = arena_.hot(idx);
+    return {s.f, s.g, s.h(), idx};
+  }
+
   double prune_bound() const {
     if (shared_.config.search.prune.strict_upper_bound)
       return shared_.problem.upper_bound();
@@ -452,75 +297,20 @@ class Ppe final : public PpeHost {
       shared_.offer_incumbent(child.g, assignment_sequence(idx));
       return;
     }
-    open_.push(child.f(), child.g, child.h, idx);
+    open_.push({child.f(), child.g, child.h, idx});
   }
-
-  /// Rebuild a transferred state in the local arena; returns the frontier
-  /// entry to enqueue (nullopt for complete schedules, which go to the
-  /// incumbent). Received states are always enqueued — dropping one could
-  /// orphan it (see header comment).
-  std::optional<PpeOpen::Item> import_one(const StateMsg& msg);
 
   void initial_distribution();
 
   Shared& shared_;
   std::uint32_t id_;
   Expander expander_;
-  core::ExpansionContext import_ctx_;   ///< reused across imports
-  std::vector<double> import_scratch_;  ///< h-evaluation scratch
-  SequenceReplay import_replay_;        ///< replay scratch, ditto
-  StateArena arena_;
-  PpeOpen open_;
+  StateArena arena_;  ///< before importer_, which keeps a reference
+  Importer importer_;
+  Frontier open_;
   std::unique_ptr<PpeLink> link_;
   core::ProgressGate progress_gate_;
 };
-
-std::optional<PpeOpen::Item> Ppe::import_one(const StateMsg& msg) {
-  const auto& problem = shared_.problem;
-
-  // The chain needs a local root to anchor replay for future expansions.
-  State root;
-  root.sig = core::root_signature();
-  root.parent = kNoParent;
-  StateIndex parent = arena_.add(root);
-
-  // Replay the assignment sequence, creating the chain of states locally.
-  std::uint32_t depth = 0;
-  const SequenceReplay::Step last =
-      import_replay_.run(msg.assignments, [&](const SequenceReplay::Step& r) {
-        State s;
-        s.sig = r.sig;
-        s.finish = r.finish;
-        s.g = r.g;
-        s.h = 0.0;  // interior-chain h is never read; the final h is below
-        s.parent = parent;
-        s.node = r.node;
-        s.proc = r.proc;
-        s.depth = ++depth;
-        parent = arena_.add(s);
-      });
-  OPTSCHED_ASSERT(depth == msg.assignments.size());
-  const double g = last.g;
-
-  if (depth == problem.num_nodes()) {
-    shared_.offer_incumbent(g, msg.assignments);
-    return std::nullopt;
-  }
-
-  // Recompute h for the transferred frontier state. msg.f lower-bounds the
-  // recomputed f only up to the sender's h function, which is identical —
-  // so the values must agree.
-  import_ctx_.move_to(arena_, parent);
-  const double h =
-      core::evaluate_h(shared_.config.search.h, problem, import_ctx_.view(),
-                       import_scratch_.data()) *
-      shared_.config.search.h_weight;
-  arena_.patch_h(parent, h);  // so re-sharing this state sends the right f
-  OPTSCHED_ASSERT(std::abs((g + h) - msg.f) < 1e-6);
-
-  link_->record_signature(last.sig);  // best effort; duplicates tolerated
-  return PpeOpen::Item{g + h, g, h, parent};
-}
 
 void Ppe::initial_distribution() {
   // Every PPE deterministically expands from the initial state until at
@@ -547,6 +337,7 @@ void Ppe::initial_distribution() {
   root.sig = core::root_signature();
   root.parent = kNoParent;
   const StateIndex root_idx = arena_.add(root);
+  OPTSCHED_ASSERT(root_idx == 0);  // imports hang below it (Importer)
   seed_seen.insert(root.sig);
 
   OpenList frontier;
@@ -576,21 +367,12 @@ void Ppe::initial_distribution() {
   for (std::size_t j = 0; j < entries.size(); ++j) {
     if (partition.owner_of(j, arena_.sig(entries[j].index), q) != id_)
       continue;
-    const core::HotState& s = arena_.hot(entries[j].index);
-    open_.push(s.f, s.g, s.h(), entries[j].index);
+    open_.push(entry(entries[j].index));
   }
   link_->publish(open_.min_f(), open_.size());
 }
 
 void Ppe::run() {
-  // Placement first, allocation second: pinning before the frontier/arena
-  // pages are first-touched places them on the memory local to the CPU
-  // this PPE will run on (see parallel/placement.hpp).
-  if (pin_current_thread(shared_.config.pin, id_, shared_.config.num_ppes))
-    shared_.pins_applied.fetch_add(1, std::memory_order_relaxed);
-  open_.prepare();  // bucket calendar, when selected
-  link_->on_thread_start();
-
   initial_distribution();
 
   // The shared kernel owns limits/cancellation (polled every 64 pops, as
@@ -773,21 +555,13 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
     out.result.stats.arena_hot_bytes += ppe->arena_hot_bytes();
     out.result.stats.arena_cold_bytes += ppe->arena_cold_bytes();
     out.result.stats.bucket_peak =
-        std::max(out.result.stats.bucket_peak, ppe->bucket_peak());
+        std::max(out.result.stats.bucket_peak, ppe->open().peak_span());
     out.par_stats.expanded_per_ppe.push_back(ppe->stats().expanded);
   }
-  if (eps > 0.0) {
-    out.result.stats.queue_kind = "focal";
-    out.result.stats.queue_fallback =
-        config.search.queue != core::QueueSelect::kHeap ? "focal" : "";
-  } else {
-    out.result.stats.queue_kind =
-        shared.queue_choice.use_bucket ? "bucket" : "heap";
-    out.result.stats.queue_fallback = shared.queue_choice.fallback;
-  }
+  // Every PPE builds its frontier by the same rule from the same problem.
+  out.result.stats.queue_kind = ppes.front()->open().queue_kind();
+  out.result.stats.queue_fallback = ppes.front()->open().queue_fallback();
   out.result.stats.elapsed_seconds = shared.timer.seconds();
-  out.par_stats.pins_applied =
-      shared.pins_applied.load(std::memory_order_relaxed);
   shared.transport->collect(out.par_stats);
   out.par_stats.requested_ppes = config.num_ppes;
   out.par_stats.effective_ppes = run_config.num_ppes;

@@ -29,7 +29,6 @@
 
 #include "core/astar.hpp"
 #include "parallel/mailbox.hpp"
-#include "parallel/placement.hpp"
 #include "parallel/transport.hpp"
 
 namespace optsched::par {
@@ -54,10 +53,6 @@ struct ParallelConfig {
   /// Stop at the first goal found anywhere (the paper's §3.3 rule; may
   /// return a suboptimal schedule — kept for fidelity experiments).
   bool naive_termination = false;
-
-  /// CPU placement per PPE (parallel/placement.hpp): pin worker threads
-  /// and first-touch their arena/frontier pages from the pinned thread.
-  PinPolicy pin = PinPolicy::kNone;
 
   /// Warm-start seed (SolveSession re-solve): the shared incumbent starts
   /// from min(static upper bound, seed_upper_bound). The parallel engine

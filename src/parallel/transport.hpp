@@ -103,9 +103,6 @@ struct ParallelStats {
   /// initial-frontier feedability clamp (ws mode on tiny instances).
   std::uint32_t requested_ppes = 0;
   std::uint32_t effective_ppes = 0;
-  /// Worker threads successfully pinned to a CPU (parallel/placement.hpp);
-  /// 0 when pin=none or the platform has no affinity support.
-  std::uint32_t pins_applied = 0;
   // Distributed (multi-process) scheme — 0 for the in-process modes.
   std::uint64_t states_serialized = 0;   ///< states encoded into wire batches
   std::uint64_t batches_sent = 0;        ///< batch frames shipped worker->worker
@@ -146,7 +143,8 @@ class PpeHost {
 
   virtual core::StateIndex pop_best() = 0;  ///< precondition: nonempty
   virtual void push_index(core::StateIndex idx) = 0;
-  /// Batched push of local arena indices (OpenList::push_batch underneath).
+  /// Batched push of local arena indices (core::Frontier::push_batch: one
+  /// heapify for the heap).
   virtual void push_batch(const std::vector<core::StateIndex>& indices) = 0;
   /// Remove up to n entries biased away from the best (ring load sharing).
   virtual std::vector<core::StateIndex> extract_surplus(std::size_t n) = 0;
@@ -178,11 +176,6 @@ class PpeLink {
   /// paper's scheme — cross-PPE duplicates pass). Work stealing: the
   /// global hash-sharded table (cross-PPE duplicates are filtered).
   virtual bool dedup_insert(const util::Key128& sig) = 0;
-
-  /// Called once from the owning PPE's thread before any search work, so
-  /// links can first-touch their thread-local structures from the right
-  /// CPU after pinning. Default: nothing to warm.
-  virtual void on_thread_start() {}
 
   /// Record a signature without using the probe result: the deterministic
   /// seed expansion runs identically on every PPE against a throwaway

@@ -217,7 +217,6 @@ SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
           rec.queue_kind = result.stats.search.queue_kind;
           rec.fallback_reason = result.stats.search.queue_fallback;
           rec.bucket_peak = result.stats.search.bucket_peak;
-          rec.pins_applied = result.stats.pins_applied;
           rec.expanded = result.stats.search.expanded;
           rec.generated = result.stats.search.generated;
           rec.loads_full = result.stats.search.loads_full;
@@ -364,7 +363,7 @@ void write_csv(const SuiteReport& report, std::ostream& out) {
          "arena_cold_bytes,parallel_mode,states_transferred,steals,"
          "shard_hits,effective_ppes,warm_start_used,states_retained,"
          "search_skipped_pct,valid,error,spec,cache_hit,cache_lookups,"
-         "cache_bytes,queue_wait_ms,bucket_peak,pins_applied,"
+         "cache_bytes,queue_wait_ms,bucket_peak,"
          "states_serialized,batches_sent,termination_rounds,"
          "states_deduped_at_send,flushes,bytes_sent,time_ms\n";
   for (const auto& r : report.records) {
@@ -386,7 +385,7 @@ void write_csv(const SuiteReport& report, std::ostream& out) {
         << csv_escape(r.error) << ',' << csv_escape(r.spec) << ','
         << (r.cache_hit ? 1 : 0) << ',' << r.cache_lookups << ','
         << r.cache_bytes << ',' << util::format_number(r.queue_wait_ms) << ','
-        << r.bucket_peak << ',' << r.pins_applied << ','
+        << r.bucket_peak << ','
         << r.states_serialized << ',' << r.batches_sent << ','
         << r.termination_rounds << ','
         << r.states_deduped_at_send << ',' << r.flushes << ','
@@ -519,7 +518,6 @@ void write_json(const SuiteReport& report, std::ostream& out) {
         << ", \"cache_bytes\": " << r.cache_bytes
         << ", \"queue_wait_ms\": " << json_number(r.queue_wait_ms)
         << ", \"bucket_peak\": " << r.bucket_peak
-        << ", \"pins_applied\": " << r.pins_applied
         << ", \"time_ms\": " << json_number(r.time_ms) << "}"
         << (i + 1 < report.records.size() ? "," : "") << "\n";
   }

@@ -115,12 +115,10 @@ struct SuiteRecord {
   std::uint64_t cache_lookups = 0;
   std::size_t cache_bytes = 0;
   double queue_wait_ms = 0.0;
-  /// Bucket-queue peak key span and pinned-thread count. Run-dependent:
-  /// the parallel engine's peak depends on thread timing and pinning on
-  /// the host's affinity support, so both live in the trailing CSV zone
+  /// Bucket-queue peak key span. Run-dependent: the parallel engine's
+  /// peak depends on thread timing, so it lives in the trailing CSV zone
   /// determinism diffs strip.
   std::uint64_t bucket_peak = 0;
-  std::uint32_t pins_applied = 0;
   /// Distributed-mode counters (parallel engine, mode=dist; 0 elsewhere).
   /// Run-dependent — bound-arrival timing changes which states cross
   /// process boundaries — so they live in the trailing CSV zone too.
@@ -162,11 +160,12 @@ struct SuiteReport {
 SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
                       const SuiteConfig& config);
 
-/// One header row plus one row per record. The trailing thirteen columns
+/// One header row plus one row per record. The trailing twelve columns
 /// (cache_hit, cache_lookups, cache_bytes, queue_wait_ms, bucket_peak,
-/// pins_applied, states_serialized, batches_sent, termination_rounds,
-/// states_deduped_at_send, flushes, bytes_sent, time_ms) are run-dependent — serving-layer state, thread-timing and
-/// host-affinity counters, dist-mode communication, and wall-clock — so
+/// states_serialized, batches_sent, termination_rounds,
+/// states_deduped_at_send, flushes, bytes_sent, time_ms) are
+/// run-dependent — serving-layer state, thread-timing counters, dist-mode
+/// communication, and wall-clock — so
 /// determinism diffs strip them by *name* (scripts/strip_csv_columns.awk;
 /// never by position, which silently breaks when columns move); every
 /// earlier column is a pure function of spec and engine for serial

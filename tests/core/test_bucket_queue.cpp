@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
+#include "core/frontier.hpp"
 #include "core/open_list.hpp"
 #include "core/problem.hpp"
 #include "dag/graph.hpp"
@@ -221,10 +223,16 @@ TEST(BucketQueue, ClearResets) {
 }
 
 /// memory_bytes() is a running sum; after every kind of mutation it must
-/// equal a from-scratch recount, on both sides of a move.
+/// equal a from-scratch recount, on both sides of a move. The same op
+/// sequence drives a core::Frontier in heap mode and one in bucket mode:
+/// every output must match, extract_surplus and extract_best included.
 TEST(BucketQueue, MemoryBytesMatchesRecount) {
   util::Rng rng(4242);
   BucketQueue q(grid(1), 400.0);
+  Frontier heap(grid(1), QueueChoice{}, 0.0);
+  Frontier bucket(grid(1), QueueChoice{true, "", 400.0}, 0.0);
+  EXPECT_STREQ(heap.queue_kind(), "heap");
+  EXPECT_STREQ(bucket.queue_kind(), "bucket");
   const std::size_t empty_bytes = q.memory_bytes();
   EXPECT_EQ(empty_bytes, q.recount_memory_bytes());
   StateIndex next = 0;
@@ -232,19 +240,50 @@ TEST(BucketQueue, MemoryBytesMatchesRecount) {
     return OpenEntry{static_cast<double>(rng.uniform_u64(0, 800)) / 2.0,
                      static_cast<double>(rng.uniform_u64(0, 20)), next++};
   };
+  const auto push_both = [&](const OpenEntry& e) {
+    heap.push({e.f, e.g, 0.0, e.index});
+    bucket.push({e.f, e.g, 0.0, e.index});
+  };
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t op = rng.uniform_u64(0, 99);
-    if (op < 60 || q.empty()) {
-      q.push(random_entry());
+    if (op < 60 || q.empty() || heap.empty()) {
+      const OpenEntry e = random_entry();
+      q.push(e);
+      push_both(e);
     } else if (op < 90) {
       q.pop();
+      const OpenEntry a = heap.pop();
+      const OpenEntry b = bucket.pop();
+      ASSERT_EQ(a.index, b.index) << "step " << i;
+      ASSERT_EQ(a.f, b.f);
+      ASSERT_EQ(a.g, b.g);
     } else if (op < 94) {
-      q.prune_at_least(static_cast<double>(rng.uniform_u64(100, 800)) / 2.0);
+      const double bound =
+          static_cast<double>(rng.uniform_u64(100, 800)) / 2.0;
+      q.prune_at_least(bound);
+      const std::size_t count = rng.uniform_u64(1, 64);
+      ASSERT_EQ(heap.extract_surplus(count, bound),
+                bucket.extract_surplus(count, bound))
+          << "step " << i;
     } else if (op < 97) {
-      q.extract_surplus(rng.uniform_u64(1, 64));
+      const std::size_t count = rng.uniform_u64(1, 64);
+      q.extract_surplus(count);
+      ASSERT_EQ(heap.extract_surplus(count), bucket.extract_surplus(count))
+          << "step " << i;
+      ASSERT_EQ(heap.extract_best(count / 8), bucket.extract_best(count / 8))
+          << "step " << i;
     } else if (op < 98) {
       q.clear();
+      heap.clear();
+      bucket.clear();
     } else if (op < 99) {
+      std::vector<Frontier::Entry> batch;
+      for (std::uint64_t n = rng.uniform_u64(1, 40); n > 0; --n) {
+        const OpenEntry e = random_entry();
+        batch.push_back({e.f, e.g, 0.0, e.index});
+      }
+      heap.push_batch(batch);
+      bucket.push_batch(batch);
       BucketQueue moved(std::move(q));
       ASSERT_EQ(q.memory_bytes(), q.recount_memory_bytes());
       EXPECT_EQ(q.memory_bytes(), 0u);
@@ -257,8 +296,67 @@ TEST(BucketQueue, MemoryBytesMatchesRecount) {
       ASSERT_EQ(other.memory_bytes(), other.recount_memory_bytes());
     }
     ASSERT_EQ(q.memory_bytes(), q.recount_memory_bytes()) << "step " << i;
+    ASSERT_EQ(heap.size(), bucket.size()) << "step " << i;
+    ASSERT_EQ(heap.min_f(), bucket.min_f()) << "step " << i;
+    ASSERT_EQ(heap.memory_bytes(), heap.recount_memory_bytes());
+    ASSERT_EQ(bucket.memory_bytes(), bucket.recount_memory_bytes());
   }
   EXPECT_GT(q.memory_bytes(), empty_bytes);  // bucket storage is counted
+  EXPECT_GT(bucket.peak_span(), 0u);
+}
+
+/// The FOCAL rule, restated over a sorted vector: among the first
+/// Frontier::kFocalScanCap entries in (f, -g, index) order with
+/// f <= (1+eps)*fmin + 1e-12, the smallest h, ties on larger g, then the
+/// earlier entry.
+Frontier::Entry focal_reference_pop(std::vector<Frontier::Entry>& open,
+                                    double eps) {
+  std::sort(open.begin(), open.end(),
+            [](const Frontier::Entry& a, const Frontier::Entry& b) {
+              if (a.f != b.f) return a.f < b.f;
+              if (a.g != b.g) return a.g > b.g;
+              return a.index < b.index;
+            });
+  const double bound = (1.0 + eps) * open.front().f + 1e-12;
+  std::size_t chosen = 0;
+  for (std::size_t i = 0; i < open.size() && open[i].f <= bound &&
+                          i < static_cast<std::size_t>(Frontier::kFocalScanCap);
+       ++i) {
+    if (open[i].h < open[chosen].h ||
+        (open[i].h == open[chosen].h && open[i].g > open[chosen].g))
+      chosen = i;
+  }
+  const Frontier::Entry out = open[chosen];
+  open.erase(open.begin() + static_cast<std::ptrdiff_t>(chosen));
+  return out;
+}
+
+TEST(Frontier, FocalPopSequenceFollowsTheRule) {
+  util::Rng rng(2024);
+  const double eps = 0.2;
+  Frontier focal(grid(0), QueueChoice{false, "focal", 0.0}, eps);
+  EXPECT_STREQ(focal.queue_kind(), "focal");
+  EXPECT_STREQ(focal.queue_fallback(), "focal");
+  std::vector<Frontier::Entry> reference;
+  // Coarse f, g and h values: wide FOCAL prefixes (past the scan cap),
+  // and ties on f, on h and on both.
+  for (StateIndex i = 0; i < 600; ++i) {
+    const double g = static_cast<double>(rng.uniform_u64(0, 10));
+    const double h = static_cast<double>(rng.uniform_u64(0, 12));
+    const Frontier::Entry e{g + h + 40.0, g, h + 40.0, i};
+    focal.push(e);
+    reference.push_back(e);
+  }
+  while (!reference.empty()) {
+    const double fmin = focal.min_f();
+    const Frontier::Entry want = focal_reference_pop(reference, eps);
+    const OpenEntry got = focal.pop();
+    ASSERT_EQ(got.index, want.index) << reference.size() << " left";
+    ASSERT_EQ(got.f, want.f);
+    ASSERT_LE(got.f, (1.0 + eps) * fmin + 1e-12);
+  }
+  EXPECT_TRUE(focal.empty());
+  EXPECT_EQ(focal.min_f(), std::numeric_limits<double>::infinity());
 }
 
 TEST(BucketQueue, AdmissibleRejectsBadScalesAndSpans) {

@@ -5,6 +5,7 @@
 #include "bnb/exhaustive.hpp"
 #include "core/astar.hpp"
 #include "dag/generators.hpp"
+#include "workload/scenario.hpp"
 
 namespace optsched::par {
 namespace {
@@ -198,6 +199,31 @@ TEST(ParallelAStar, HeterogeneousMachine) {
   cfg.num_ppes = 2;
   const auto r = parallel_astar_schedule(problem, cfg);
   EXPECT_DOUBLE_EQ(r.result.makespan, 16.0);
+}
+
+/// Regression (ring arena blow-up): a ring PPE used to add a fresh root
+/// and a whole chain for every received state, and ring neighbours hand
+/// states back and forth, so the PPE arenas grew with the transfers, not
+/// with the search: ring@3 held 17.9-35.9 MiB of hot arena records on this
+/// item, against serial A*'s 1.48 MiB. A state imported again now reuses
+/// its record (measured 4.4 MiB); the bound leaves over 2x headroom for
+/// thread timing.
+TEST(ParallelAStar, RingArenaGrowsWithTheSearchNotTheTransfers) {
+  const workload::Instance in =
+      workload::ScenarioSpec::parse(
+          "family=random nodes=10 ccr=1 machine=clique:3 seed=1")
+          .materialize();
+  const core::SearchProblem problem(in.graph, in.machine, in.comm);
+  const double serial = core::astar_schedule(problem).makespan;
+
+  ParallelConfig cfg;
+  cfg.num_ppes = 3;
+  cfg.mode = TransportMode::kRing;
+  const auto r = parallel_astar_schedule(problem, cfg);
+  EXPECT_TRUE(r.result.proved_optimal);
+  EXPECT_DOUBLE_EQ(r.result.makespan, serial);
+  EXPECT_GT(r.par_stats.states_transferred, 0u);
+  EXPECT_LT(r.result.stats.arena_hot_bytes, std::size_t{12} << 20);
 }
 
 TEST(ParallelAStar, RejectsBadConfig) {
