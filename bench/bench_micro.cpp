@@ -9,7 +9,6 @@
 #include "core/bucket_queue.hpp"
 #include "core/expansion.hpp"
 #include "core/heuristics.hpp"
-#include "core/hotpath.hpp"
 #include "core/open_list.hpp"
 #include "dag/generators.hpp"
 #include "machine/automorphism.hpp"
@@ -153,11 +152,10 @@ void BM_BucketPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketPushPop)->Arg(1000)->Arg(100000);
 
-// ---- heuristic evaluation: scalar vs wide --------------------------------
+// ---- heuristic evaluation ------------------------------------------------
 //
-// h_path's est_seed pass through the runtime-dispatched kernel vs the
-// forced-scalar reference, at a realistic mid-search context. Args are
-// {num_nodes, scalar?}.
+// h_path (est_seed pass plus topological propagation) at a realistic
+// mid-search context. Arg is num_nodes.
 
 void BM_HeuristicEval(benchmark::State& state) {
   const auto v = static_cast<std::uint32_t>(state.range(0));
@@ -186,19 +184,12 @@ void BM_HeuristicEval(benchmark::State& state) {
   ctx.load(arena, cur);
   std::vector<double> scratch(2 * g.num_nodes(), 0.0);
 
-  core::hotpath::force_scalar(state.range(1) != 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::evaluate_h(
         core::HFunction::kPath, problem, ctx.view(), scratch.data()));
   }
-  core::hotpath::force_scalar(false);
 }
-BENCHMARK(BM_HeuristicEval)
-    ->ArgNames({"v", "scalar"})
-    ->Args({128, 1})
-    ->Args({128, 0})
-    ->Args({512, 1})
-    ->Args({512, 0});
+BENCHMARK(BM_HeuristicEval)->ArgName("v")->Arg(128)->Arg(512);
 
 void BM_ComputeLevels(benchmark::State& state) {
   const auto g = bench_graph(static_cast<std::uint32_t>(state.range(0)));

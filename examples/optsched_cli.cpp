@@ -60,6 +60,7 @@
 #include "server/client.hpp"
 #include "server/daemon.hpp"
 #include "util/cli.hpp"
+#include "util/counters.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 #include "workload/churn.hpp"
@@ -117,11 +118,23 @@ int suite_main(int argc, char** argv) {
                 "schedules exactly as to in-process runs")
       .describe("csv", "write the per-run report table to this file")
       .describe("json", "write the full JSON report to this file")
-      .describe("progress", "print one line per finished run");
+      .describe("progress", "print one line per finished run")
+      .describe("list-columns",
+                "print the report columns of these counter classes "
+                "(semantic,effort,run), comma-separated, and exit");
   if (cli.maybe_print_help(
           "Run a workload corpus across engines with an oracle"))
     return 0;
   cli.validate();
+
+  if (cli.has("list-columns")) {
+    std::vector<util::CounterClass> classes;
+    for (const auto& name : util::split(cli.get("list-columns", ""), ','))
+      classes.push_back(util::parse_counter_class(name));
+    std::printf("%s\n",
+                util::join(workload::column_names(classes), ",").c_str());
+    return 0;
+  }
 
   OPTSCHED_REQUIRE(cli.has("corpus"), "suite requires --corpus <file>");
   const auto corpus = workload::load_corpus_file(cli.get("corpus", ""));
@@ -392,42 +405,30 @@ int submit_main(int argc, char** argv) {
   const auto [engine_name, engine_options] =
       api::parse_engine_spec(base.engine);
 
-  struct Row {
-    std::string spec, termination, error;
-    double makespan = 0.0, bound_factor = 0.0;
-    bool proved_optimal = false, valid = false, cache_hit = false;
-    std::uint64_t expanded = 0, generated = 0, cache_lookups = 0;
-    std::size_t peak_memory_bytes = 0, cache_bytes = 0;
-    double queue_wait_ms = 0.0, time_ms = 0.0;
-  };
-  std::vector<Row> rows;
+  workload::SuiteReport report;
   std::size_t hits = 0, failures = 0;
   double queue_wait_total = 0.0;
 
   for (const auto& spec : corpus) {
-    Row row;
-    row.spec = spec.to_string();
+    workload::SuiteRecord& rec = report.records.emplace_back();
+    rec.instance = report.records.size() - 1;
+    rec.spec = spec.to_string();
+    rec.family = spec.family;
+    rec.engine = base.engine;
     const util::Timer timer;
     try {
       const workload::Instance instance = spec.materialize();
+      rec.nodes = instance.graph.num_nodes();
+      rec.edges = instance.graph.num_edges();
+      rec.procs = instance.machine.num_procs();
       server::SolveCommand command = base;
       command.spec = instance.name;
       const server::SolveReply reply = client.solve_raw(command);
       const api::SolveResult result =
           server::rebuild_result(instance, reply);
-      row.makespan = result.makespan;
-      row.proved_optimal = result.proved_optimal;
-      row.bound_factor = result.bound_factor;
-      row.termination = core::to_string(result.reason);
-      row.expanded = result.stats.search.expanded;
-      row.generated = result.stats.search.generated;
-      row.peak_memory_bytes = result.stats.search.peak_memory_bytes;
-      row.cache_hit = reply.cache_hit;
-      row.cache_lookups = reply.cache_lookups;
-      row.cache_bytes = reply.cache_bytes;
-      row.queue_wait_ms = reply.queue_wait_ms;
+      rec.take(result);
       sched::validate(result.schedule);
-      row.valid = true;
+      rec.valid = true;
       if (oracle) {
         // Cold in-process reference: the daemon's reply — cached or
         // fresh — must reproduce it bit for bit.
@@ -455,54 +456,35 @@ int submit_main(int argc, char** argv) {
         }
       }
     } catch (const std::exception& ex) {
-      row.error = ex.what();
+      rec.error = ex.what();
       ++failures;
     }
-    row.time_ms = timer.millis();
-    if (row.cache_hit) ++hits;
-    queue_wait_total += row.queue_wait_ms;
+    rec.time_ms = timer.millis();
+    if (rec.stats.cache_hit) ++hits;
+    queue_wait_total += rec.stats.queue_wait_ms;
     if (cli.get_bool("progress"))
       std::fprintf(stderr, "  [%zu] %s: makespan %.2f (%s)%s%s\n",
-                   rows.size(), row.spec.c_str(), row.makespan,
-                   row.termination.c_str(), row.cache_hit ? " [cache]" : "",
-                   row.error.empty() ? "" : " ERROR");
-    rows.push_back(std::move(row));
+                   rec.instance, rec.spec.c_str(), rec.makespan,
+                   rec.termination.c_str(),
+                   rec.stats.cache_hit ? " [cache]" : "",
+                   rec.error.empty() ? "" : " ERROR");
   }
 
-  const double hit_rate = rows.empty() ? 0.0
-                                       : static_cast<double>(hits) /
-                                             static_cast<double>(rows.size());
+  const std::size_t runs = report.records.size();
+  const double hit_rate =
+      runs ? static_cast<double>(hits) / static_cast<double>(runs) : 0.0;
   std::printf("submit: %zu runs via %s, %zu cache hits (%.0f%%), %zu "
               "failures, mean queue wait %.2f ms%s\n",
-              rows.size(), base.engine.c_str(), hits, hit_rate * 100.0,
-              failures,
-              rows.empty() ? 0.0 : queue_wait_total /
-                                       static_cast<double>(rows.size()),
+              runs, base.engine.c_str(), hits, hit_rate * 100.0, failures,
+              runs ? queue_wait_total / static_cast<double>(runs) : 0.0,
               oracle ? ", oracle: bit-agreement checked" : "");
 
   if (cli.has("csv")) {
     std::ofstream out(cli.get("csv", ""));
     OPTSCHED_REQUIRE(out.good(), "cannot write --csv file");
-    // Same determinism contract as the suite CSV: the serving-layer
-    // columns (cache_hit..queue_wait_ms) and time_ms are run-dependent;
-    // everything else is a pure function of (spec, engine), so CI diffs
-    // passes after stripping those columns by name with
-    // scripts/strip_csv_columns.awk.
-    out << "spec,engine,makespan,proved_optimal,bound_factor,termination,"
-           "expanded,generated,peak_memory_bytes,valid,error,cache_hit,"
-           "cache_lookups,cache_bytes,queue_wait_ms,time_ms\n";
-    for (const auto& r : rows) {
-      out << '"' << r.spec << "\"," << base.engine << ','
-          << util::format_number(r.makespan) << ','
-          << (r.proved_optimal ? 1 : 0) << ','
-          << util::format_number_lenient(r.bound_factor) << ',' << r.termination
-          << ',' << r.expanded << ',' << r.generated << ','
-          << r.peak_memory_bytes << ',' << (r.valid ? 1 : 0) << ','
-          << r.error << ',' << (r.cache_hit ? 1 : 0) << ','
-          << r.cache_lookups << ',' << r.cache_bytes << ','
-          << util::format_number(r.queue_wait_ms) << ','
-          << util::format_number(r.time_ms) << '\n';
-    }
+    // The suite CSV schema: CI diffs passes after stripping the run-class
+    // columns (`suite --list-columns=run`) by name.
+    workload::write_csv(report, out);
     std::printf("wrote %s\n", cli.get("csv", "").c_str());
   }
 
@@ -654,91 +636,19 @@ int main(int argc, char** argv) try {
   sched::validate(result.schedule);
   std::printf("schedule length: %.2f  [%s]\n", result.makespan,
               verdict_for(result).c_str());
-  if (result.stats.search.expanded > 0)
-    std::printf("states expanded: %llu, generated: %llu, peak memory ~%zu "
-                "KiB\n",
-                static_cast<unsigned long long>(result.stats.search.expanded),
-                static_cast<unsigned long long>(
-                    result.stats.search.generated),
-                result.stats.search.peak_memory_bytes / 1024);
-  if (result.stats.search.queue_kind[0] != '\0') {
-    std::printf("open list: %s", result.stats.search.queue_kind);
-    if (result.stats.search.bucket_peak > 0)
-      std::printf(", peak bucket span %llu",
-                  static_cast<unsigned long long>(
-                      result.stats.search.bucket_peak));
-    if (result.stats.search.queue_fallback[0] != '\0')
-      std::printf(" (auto fallback: %s)",
-                  result.stats.search.queue_fallback);
-    std::printf("\n");
-  }
-  if (result.stats.search.loads_full + result.stats.search.loads_incremental >
-      0)
-    std::printf("context loads: %llu full, %llu delta; arena hot/cold ~%zu/"
-                "%zu KiB\n",
-                static_cast<unsigned long long>(
-                    result.stats.search.loads_full),
-                static_cast<unsigned long long>(
-                    result.stats.search.loads_incremental),
-                result.stats.search.arena_hot_bytes / 1024,
-                result.stats.search.arena_cold_bytes / 1024);
-  if (!result.stats.parallel_mode.empty()) {
-    // expanded_per_ppe is sorted descending (the per-thread attribution is
-    // timing-dependent); print the distribution plus min/max.
-    const auto& per_ppe = result.stats.expanded_per_ppe;
-    std::string balance;
-    for (const auto n : per_ppe)
-      balance += (balance.empty() ? "" : "/") + std::to_string(n);
-    std::printf("parallel[%s]: %zu PPEs, expanded max/min %llu/%llu (%s)\n",
-                result.stats.parallel_mode.c_str(), per_ppe.size(),
-                static_cast<unsigned long long>(
-                    per_ppe.empty() ? 0 : per_ppe.front()),
-                static_cast<unsigned long long>(
-                    per_ppe.empty() ? 0 : per_ppe.back()),
-                balance.c_str());
-    if (result.stats.parallel_mode == "dist") {
-      std::printf("  wire: %llu states serialized into %llu batches, "
-                  "%llu relayed; termination: %llu rounds\n",
-                  static_cast<unsigned long long>(
-                      result.stats.states_serialized),
-                  static_cast<unsigned long long>(result.stats.batches_sent),
-                  static_cast<unsigned long long>(
-                      result.stats.states_transferred),
-                  static_cast<unsigned long long>(
-                      result.stats.termination_rounds));
-      std::printf("  wire: %llu deduped at send, %llu gathered writes "
-                  "(%.1f batches/write), %llu bytes on the wire\n",
-                  static_cast<unsigned long long>(
-                      result.stats.states_deduped_at_send),
-                  static_cast<unsigned long long>(result.stats.flushes),
-                  result.stats.flushes
-                      ? static_cast<double>(result.stats.batches_sent) /
-                            static_cast<double>(result.stats.flushes)
-                      : 0.0,
-                  static_cast<unsigned long long>(result.stats.bytes_sent));
-    }
-    else if (result.stats.parallel_mode == "ws")
-      std::printf("  stealing: %llu steals (%llu states) in %llu attempts, "
-                  "%llu donations; dedup: %u shards, %llu duplicates "
-                  "filtered\n",
-                  static_cast<unsigned long long>(result.stats.steals),
-                  static_cast<unsigned long long>(
-                      result.stats.states_transferred),
-                  static_cast<unsigned long long>(
-                      result.stats.steal_attempts),
-                  static_cast<unsigned long long>(result.stats.donations),
-                  result.stats.shards,
-                  static_cast<unsigned long long>(result.stats.shard_hits));
-    else
-      std::printf("  comm: %llu messages (%llu states), %llu rounds\n",
-                  static_cast<unsigned long long>(result.stats.messages_sent),
-                  static_cast<unsigned long long>(
-                      result.stats.states_transferred),
-                  static_cast<unsigned long long>(result.stats.comm_rounds));
-  }
-  if (result.stats.engines_raced > 0)
-    std::printf("portfolio: %u engines raced, '%s' won\n",
-                result.stats.engines_raced, result.engine.c_str());
+  // Every counter the engine reported, in counter-table order; zero and
+  // empty ones are counters this engine does not track or never hit.
+  api::SolveStats::visit([](const util::Counter& c, const auto& v) {
+    const std::string text = util::counter_text(v);
+    if (!text.empty() && text != "0")
+      std::printf("  %-24s %s\n", c.name, text.c_str());
+  }, result.stats);
+  // Sorted descending: per-thread attribution is timing-dependent.
+  std::string per_ppe;
+  for (const auto n : result.stats.expanded_per_ppe)
+    per_ppe += (per_ppe.empty() ? "" : "/") + std::to_string(n);
+  if (!per_ppe.empty())
+    std::printf("  %-24s %s\n", "expanded_per_ppe", per_ppe.c_str());
   std::printf("\n");
   if (cli.get_bool("gantt", true))
     std::printf("%s", sched::render_gantt(result.schedule).c_str());

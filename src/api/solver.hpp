@@ -21,6 +21,7 @@
 
 #include "core/astar.hpp"
 #include "core/controls.hpp"
+#include "parallel/transport.hpp"
 #include "sched/schedule.hpp"
 
 namespace optsched::api {
@@ -103,42 +104,17 @@ struct SolveRequest {
 
 /// Superset of every engine's counters; fields an engine does not track
 /// stay 0 (e.g. peak_memory_bytes for the heuristics, comm counters for
-/// the serial engines).
-struct SolveStats {
+/// the serial engines). The transport counters are inherited from
+/// par::ParallelStats; its `expanded_per_ppe` is sorted descending —
+/// per-thread attribution is timing-dependent, so reports emit the
+/// distribution, never the PPE-id order.
+struct SolveStats : par::ParallelStats {
   core::SearchStats search{};          ///< expansions, memory, time, ...
   std::uint64_t paths_evaluated = 0;   ///< Chen & Yu underestimate work
-  /// Parallel transport: "ring" or "ws" (empty for serial engines).
+  /// Parallel transport: "ring", "ws" or "dist" (empty for serial
+  /// engines).
   std::string parallel_mode;
-  std::uint64_t messages_sent = 0;     ///< parallel engine, ring mode
-  std::uint64_t states_transferred = 0;  ///< shipped over mailboxes or stolen
-  std::uint64_t comm_rounds = 0;
-  std::uint64_t steal_attempts = 0;    ///< parallel engine, ws mode
-  std::uint64_t steals = 0;
-  std::uint64_t donations = 0;
-  std::uint32_t shards = 0;            ///< sharded dedup table (ws mode)
-  std::uint64_t shard_hits = 0;  ///< duplicates filtered by the shared table
-  /// Per-PPE expansion counts, sorted descending — per-thread attribution
-  /// is timing-dependent, so reports emit the distribution (and min/max/
-  /// total aggregates), never the PPE-id order.
-  std::vector<std::uint64_t> expanded_per_ppe;
-  /// PPE counts: requested vs. actually run after the initial-frontier
-  /// feedability clamp (ws mode on tiny instances); 0 for serial engines.
-  std::uint32_t effective_ppes = 0;
   std::uint32_t engines_raced = 0;     ///< portfolio members launched
-  /// Distributed mode (parallel engine, mode=dist): states encoded into
-  /// wire batches, batch frames relayed worker->worker, and
-  /// quiescence-condition evaluations by the coordinator's termination
-  /// detector; all 0 for the in-process modes and serial engines.
-  std::uint64_t states_serialized = 0;
-  std::uint64_t batches_sent = 0;
-  std::uint64_t termination_rounds = 0;
-  /// Distributed wire-path counters (PR 10): remote children suppressed
-  /// by the send-side duplicate filter, gathered socket writes on the
-  /// worker side, and total bytes written to dist sockets across all
-  /// processes. All 0 for in-process modes and serial engines.
-  std::uint64_t states_deduped_at_send = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t bytes_sent = 0;
   /// Warm-start re-solve (SolveSession): whether any previous-solve state
   /// was reused, how many arena states survived the delta, and the
   /// session's estimate of search work skipped vs. the previous solve
@@ -159,6 +135,29 @@ struct SolveStats {
   std::uint64_t cache_lookups = 0;
   std::size_t cache_bytes = 0;
   double queue_wait_ms = 0.0;
+
+  /// The counter table (util/counters.hpp), in report order: the serving
+  /// layer that wraps the solve, then `search`, then the transport, then
+  /// the engine-specific rest.
+  template <class F, class... S>
+  static void visit(F&& f, S&... s) {
+    using util::Counter;
+    using enum util::Merge;
+    using enum util::CounterClass;
+    f(Counter{"cache_hit", kSum, kRun}, s.cache_hit...);
+    f(Counter{"cache_lookups", kMax, kRun}, s.cache_lookups...);
+    f(Counter{"cache_bytes", kMax, kRun}, s.cache_bytes...);
+    f(Counter{"queue_wait_ms", kSum, kRun}, s.queue_wait_ms...);
+    core::SearchStats::visit(f, s.search...);
+    f(Counter{"parallel_mode", kNone, kSemantic}, s.parallel_mode...);
+    par::ParallelStats::visit(f, s...);
+    f(Counter{"warm_start_used", kSum, kSemantic}, s.warm_start_used...);
+    f(Counter{"states_retained", kSum, kEffort}, s.states_retained...);
+    f(Counter{"search_skipped_pct", kNone, kEffort},
+      s.search_skipped_pct...);
+    f(Counter{"paths_evaluated", kSum, kEffort}, s.paths_evaluated...);
+    f(Counter{"engines_raced", kMax, kEffort}, s.engines_raced...);
+  }
 };
 
 /// Unified result: always a valid complete schedule, plus the proof state.

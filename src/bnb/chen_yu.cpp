@@ -81,7 +81,7 @@ struct ChenYuPolicy {
   ChenYuPolicy(const SearchProblem& p, const ChenYuConfig& c,
                ChenYuResult& r)
       : problem(p), config(c), result(r), ctx(p), seen(arena, 1 << 12) {
-    ctx.set_stats(&replay_stats);
+    ctx.set_stats(&result.stats);
     State root;
     root.sig = core::root_signature();
     root.parent = kNoParent;
@@ -95,7 +95,6 @@ struct ChenYuPolicy {
   ChenYuResult& result;
   StateArena arena;
   core::ExpansionContext ctx;
-  core::ExpandStats replay_stats;  ///< move_to full/incremental counters
   core::ClosedSet seen;  ///< CLOSED: indices into `arena`
   OpenList open;
   OpenEntry current{};
@@ -126,7 +125,7 @@ struct ChenYuPolicy {
 
   void expand(StateIndex idx) {
     ctx.move_to(arena, idx);
-    ++result.expanded;
+    ++result.stats.expanded;
     const util::Key128& parent_sig = arena.sig(idx);
     const std::uint32_t parent_depth = arena.hot(idx).depth();
 
@@ -156,7 +155,7 @@ struct ChenYuPolicy {
         child.proc = p;
         child.depth = parent_depth + 1;
         const StateIndex child_idx = arena.add(child);
-        ++result.generated;
+        ++result.stats.generated;
         open.push({lb, g, child_idx});
       }
     }
@@ -164,14 +163,15 @@ struct ChenYuPolicy {
 
   void after_expand() {}
 
-  std::uint64_t expanded_count() const { return result.expanded; }
+  std::uint64_t expanded_count() const { return result.stats.expanded; }
 
   std::size_t memory_now() const {
     return arena.memory_bytes() + seen.memory_bytes() + open.memory_bytes();
   }
 
   void maybe_progress(core::KernelGuard& guard) {
-    guard.maybe_progress(result.expanded, current.f, problem.upper_bound());
+    guard.maybe_progress(result.stats.expanded, current.f,
+                         problem.upper_bound());
   }
 };
 
@@ -223,8 +223,7 @@ ChenYuResult chen_yu_schedule(const SearchProblem& problem,
   StateArena::require_packable(problem.num_nodes(), problem.num_procs());
   util::Timer timer;
   ChenYuResult result{sched::Schedule(problem.upper_bound_schedule()), 0.0,
-                      false, core::Termination::kOptimal, 0, 0, 0,
-                      0, 0, 0, 0, 0.0};
+                      false, core::Termination::kOptimal, {}, 0};
   ChenYuPolicy policy(problem, config, result);
   core::KernelGuard guard(
       config.controls,
@@ -239,11 +238,8 @@ ChenYuResult chen_yu_schedule(const SearchProblem& problem,
         core::reconstruct_schedule(problem, policy.arena, *policy.goal);
   }
   result.makespan = result.schedule.makespan();
-  result.loads_full = policy.replay_stats.loads_full;
-  result.loads_incremental = policy.replay_stats.loads_incremental;
-  result.assignments_replayed = policy.replay_stats.assignments_replayed;
-  result.peak_memory_bytes = policy.memory_now();
-  result.elapsed_seconds = timer.seconds();
+  result.stats.peak_memory_bytes = policy.memory_now();
+  result.stats.elapsed_seconds = timer.seconds();
   sched::validate(result.schedule);
   return result;
 }

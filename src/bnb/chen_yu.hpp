@@ -38,14 +38,10 @@ struct ChenYuResult {
   double makespan = 0.0;
   bool proved_optimal = false;
   core::Termination reason = core::Termination::kOptimal;
-  std::uint64_t expanded = 0;
-  std::uint64_t generated = 0;
+  /// expanded, generated, the context loads (move_to), memory (arena +
+  /// CLOSED + OPEN at the end) and time; no pruning counters.
+  core::SearchStats stats;
   std::uint64_t paths_evaluated = 0;
-  std::uint64_t loads_full = 0;         ///< context rebuilds from the root
-  std::uint64_t loads_incremental = 0;  ///< delta replays (move_to)
-  std::uint64_t assignments_replayed = 0;
-  std::size_t peak_memory_bytes = 0;  ///< arena + CLOSED + OPEN at the end
-  double elapsed_seconds = 0.0;
 };
 
 ChenYuResult chen_yu_schedule(const core::SearchProblem& problem,

@@ -23,21 +23,9 @@
 
 namespace optsched::core {
 
-struct SearchStats {
-  std::uint64_t expanded = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t duplicates_dropped = 0;
-  std::uint64_t pruned_upper_bound = 0;
-  std::uint64_t skipped_equivalence = 0;
-  std::uint64_t skipped_isomorphism = 0;
-  /// Context loads rebuilt from the root vs. delta-replayed from the
-  /// previously loaded state (ExpansionContext::move_to), and the total
-  /// assignment applications across both — the per-expansion replay cost
-  /// the delta path amortizes (assignments_replayed / expanded ≈ mean
-  /// replay length; a full-replay engine would pay the mean state depth).
-  std::uint64_t loads_full = 0;
-  std::uint64_t loads_incremental = 0;
-  std::uint64_t assignments_replayed = 0;
+/// One search's counters: the expansion counters it inherits from
+/// ExpandStats plus the frontier, memory and timing figures.
+struct SearchStats : ExpandStats {
   std::size_t max_open_size = 0;
   /// Search-state memory: arena + CLOSED + OPEN for best-first engines,
   /// the bounded DFS working set for IDA*, summed across PPEs for the
@@ -59,16 +47,25 @@ struct SearchStats {
   std::uint64_t bucket_peak = 0;
   double elapsed_seconds = 0.0;
 
-  void absorb(const ExpandStats& e) {
-    expanded += e.expanded;
-    generated += e.generated;
-    duplicates_dropped += e.duplicates_dropped;
-    pruned_upper_bound += e.pruned_upper_bound;
-    skipped_equivalence += e.skipped_equivalence;
-    skipped_isomorphism += e.skipped_isomorphism;
-    loads_full += e.loads_full;
-    loads_incremental += e.loads_incremental;
-    assignments_replayed += e.assignments_replayed;
+  /// The counter table (util/counters.hpp), in report order. The context
+  /// loads (loads_full vs loads_incremental, ExpansionContext::move_to)
+  /// and assignments_replayed give the per-expansion replay cost the
+  /// delta path amortizes (assignments_replayed / expanded ≈ mean replay
+  /// length).
+  template <class F, class... S>
+  static void visit(F&& f, S&... s) {
+    using util::Counter;
+    using enum util::Merge;
+    using enum util::CounterClass;
+    f(Counter{"queue_kind", kNone, kSemantic}, s.queue_kind...);
+    f(Counter{"fallback_reason", kNone, kSemantic}, s.queue_fallback...);
+    ExpandStats::visit(f, s...);
+    f(Counter{"max_open_size", kMax, kEffort}, s.max_open_size...);
+    f(Counter{"peak_memory_bytes", kMemory, kEffort}, s.peak_memory_bytes...);
+    f(Counter{"arena_hot_bytes", kMemory, kEffort}, s.arena_hot_bytes...);
+    f(Counter{"arena_cold_bytes", kMemory, kEffort}, s.arena_cold_bytes...);
+    f(Counter{"bucket_peak", kMax, kRun}, s.bucket_peak...);
+    f(Counter{"elapsed_seconds", kMax, kRun}, s.elapsed_seconds...);
   }
 };
 

@@ -25,6 +25,7 @@
 #include "core/problem.hpp"
 #include "core/signature.hpp"
 #include "core/state.hpp"
+#include "util/counters.hpp"
 #include "util/flat_set.hpp"
 
 namespace optsched::core {
@@ -41,16 +42,22 @@ struct ExpandStats {
   std::uint64_t loads_incremental = 0;    ///< context delta-replayed via LCA
   std::uint64_t assignments_replayed = 0; ///< apply ops across all loads
 
-  void merge(const ExpandStats& o) {
-    expanded += o.expanded;
-    generated += o.generated;
-    duplicates_dropped += o.duplicates_dropped;
-    pruned_upper_bound += o.pruned_upper_bound;
-    skipped_equivalence += o.skipped_equivalence;
-    skipped_isomorphism += o.skipped_isomorphism;
-    loads_full += o.loads_full;
-    loads_incremental += o.loads_incremental;
-    assignments_replayed += o.assignments_replayed;
+  /// The counter table (util/counters.hpp): all summed, all effort.
+  template <class F, class... S>
+  static void visit(F&& f, S&... s) {
+    using util::Counter;
+    constexpr auto sum = util::Merge::kSum;
+    constexpr auto effort = util::CounterClass::kEffort;
+    f(Counter{"expanded", sum, effort}, s.expanded...);
+    f(Counter{"generated", sum, effort}, s.generated...);
+    f(Counter{"duplicates_dropped", sum, effort}, s.duplicates_dropped...);
+    f(Counter{"pruned_upper_bound", sum, effort}, s.pruned_upper_bound...);
+    f(Counter{"skipped_equivalence", sum, effort}, s.skipped_equivalence...);
+    f(Counter{"skipped_isomorphism", sum, effort}, s.skipped_isomorphism...);
+    f(Counter{"loads_full", sum, effort}, s.loads_full...);
+    f(Counter{"loads_incremental", sum, effort}, s.loads_incremental...);
+    f(Counter{"assignments_replayed", sum, effort},
+      s.assignments_replayed...);
   }
 };
 

@@ -1,112 +1,27 @@
 #include "core/hotpath.hpp"
 
-#include <algorithm>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define OPTSCHED_HOTPATH_X86 1
-#include <immintrin.h>
-#endif
-
 namespace optsched::core::hotpath {
 
 namespace {
 
 constexpr std::uint32_t kUnscheduled = 0xFFFFFFFFu;  // machine::kInvalidProc
 
-double max_reduce_scalar(const double* x, std::size_t n) {
+}  // namespace
+
+double max_reduce(const double* x, std::size_t n) {
   double m = 0.0;
   for (std::size_t i = 0; i < n; ++i) m = x[i] > m ? x[i] : m;
   return m;
 }
 
-void est_seed_scalar(const std::uint32_t* proc_of, const double* finish,
-                     const double* w_scaled, std::size_t n, double* est,
-                     double* add) {
+void est_seed(const std::uint32_t* proc_of, const double* finish,
+              const double* w_scaled, std::size_t n, double* est,
+              double* add) {
   for (std::size_t i = 0; i < n; ++i) {
     const bool sched = proc_of[i] != kUnscheduled;
     est[i] = sched ? finish[i] : 0.0;
     add[i] = sched ? 0.0 : w_scaled[i];
   }
 }
-
-#if OPTSCHED_HOTPATH_X86
-
-__attribute__((target("avx2"))) double max_reduce_avx2(const double* x,
-                                                       std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm256_max_pd(acc, _mm256_loadu_pd(x + i));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double m =
-      std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
-  for (; i < n; ++i) m = x[i] > m ? x[i] : m;
-  return m;
-}
-
-__attribute__((target("avx2"))) void est_seed_avx2(
-    const std::uint32_t* proc_of, const double* finish, const double* w_scaled,
-    std::size_t n, double* est, double* add) {
-  const __m128i invalid = _mm_set1_epi32(-1);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i procs = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(proc_of + i));
-    // Sign-extend the 32-bit compare mask to 64-bit lanes: all-ones where
-    // the node is unscheduled.
-    const __m256d unsched = _mm256_castsi256_pd(
-        _mm256_cvtepi32_epi64(_mm_cmpeq_epi32(procs, invalid)));
-    _mm256_storeu_pd(est + i,
-                     _mm256_andnot_pd(unsched, _mm256_loadu_pd(finish + i)));
-    _mm256_storeu_pd(add + i,
-                     _mm256_and_pd(unsched, _mm256_loadu_pd(w_scaled + i)));
-  }
-  est_seed_scalar(proc_of + i, finish + i, w_scaled + i, n - i, est + i,
-                  add + i);
-}
-
-#endif  // OPTSCHED_HOTPATH_X86
-
-using MaxReduceFn = double (*)(const double*, std::size_t);
-using EstSeedFn = void (*)(const std::uint32_t*, const double*, const double*,
-                           std::size_t, double*, double*);
-
-struct Dispatch {
-  MaxReduceFn max_reduce = max_reduce_scalar;
-  EstSeedFn est_seed = est_seed_scalar;
-  bool wide = false;
-
-  Dispatch() {
-#if OPTSCHED_HOTPATH_X86
-    if (__builtin_cpu_supports("avx2")) {
-      max_reduce = max_reduce_avx2;
-      est_seed = est_seed_avx2;
-      wide = true;
-    }
-#endif
-  }
-};
-
-Dispatch g_dispatch;        // startup choice
-bool g_scalar_only = false;  // bench/test override
-
-}  // namespace
-
-double max_reduce(const double* x, std::size_t n) {
-  return g_scalar_only ? max_reduce_scalar(x, n) : g_dispatch.max_reduce(x, n);
-}
-
-void est_seed(const std::uint32_t* proc_of, const double* finish,
-              const double* w_scaled, std::size_t n, double* est,
-              double* add) {
-  (g_scalar_only ? est_seed_scalar : g_dispatch.est_seed)(proc_of, finish,
-                                                          w_scaled, n, est,
-                                                          add);
-}
-
-bool wide_available() { return g_dispatch.wide; }
-
-void force_scalar(bool scalar_only) { g_scalar_only = scalar_only; }
 
 }  // namespace optsched::core::hotpath

@@ -1,19 +1,14 @@
-// Branch-free, vectorizable inner kernels for the expansion/heuristic hot
-// path, behind a runtime CPU dispatch so release binaries stay portable.
+// Branch-free inner kernels for the expansion/heuristic hot path.
 //
 // The kernels iterate the SoA context arrays (ScheduleView) with no
 // early-exit branches: scheduled/unscheduled decisions become masks, max
-// reductions scan the whole range. Each has a scalar body and, on x86-64,
-// an AVX2 twin compiled with a target attribute and selected once at
-// startup via __builtin_cpu_supports — no ISA flags leak into the global
-// build, so the binary runs on any x86-64 (and any other arch uses the
-// scalar path).
+// reductions scan the whole range, so the compiler is free to vectorize
+// them for whatever ISA the build targets.
 //
-// Bit-exactness: the wide variants use only add/max/blend — no FMA, no
-// reassociated sums — and max is a selection, so scalar and wide paths
-// return identical doubles on identical inputs. The bucket queue's
-// fixed-point soundness argument (core/key_scale.hpp) therefore covers
-// both paths.
+// Bit-exactness: the kernels use only selections (max, blend), no
+// arithmetic, so every compiled form returns identical doubles on
+// identical inputs. The bucket queue's fixed-point soundness argument
+// (core/key_scale.hpp) therefore holds whatever the compiler emits.
 #pragma once
 
 #include <cstddef>
@@ -34,13 +29,5 @@ double max_reduce(const double* x, std::size_t n);
 void est_seed(const std::uint32_t* proc_of, const double* finish,
               const double* w_scaled, std::size_t n, double* est,
               double* add);
-
-/// Was a wide (AVX2) implementation selected at startup?
-bool wide_available();
-
-/// Pin the dispatch to the scalar bodies (true) or back to the startup
-/// choice (false). Bench/test knob for scalar-vs-wide comparisons; not
-/// thread-safe against concurrent kernel calls.
-void force_scalar(bool scalar_only);
 
 }  // namespace optsched::core::hotpath

@@ -1,6 +1,7 @@
 #include "parallel/dist_protocol.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 namespace optsched::par {
 
@@ -13,6 +14,33 @@ std::uint32_t as_u32(const Json& j, const char* what) {
   OPTSCHED_REQUIRE(v >= 0 && v == std::floor(v) && v <= 0xffffffffu,
                    std::string(what) + " must be a non-negative integer");
   return static_cast<std::uint32_t>(v);
+}
+
+/// Write every mergeable (numeric) counter of `s` into the JSON object
+/// `out`, keyed by its report name.
+template <class S>
+void counters_to_json(const S& s, Json& out) {
+  S::visit([&](const util::Counter& c, const auto& v) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>)
+      if (c.merge != util::Merge::kNone) out[c.name] = v;
+  }, s);
+}
+
+/// Inverse of counters_to_json. Every counter it wrote is required: an
+/// absent key throws util::Error rather than reading as 0.
+template <class S>
+void counters_from_json(const Json& in, S& s) {
+  S::visit([&](const util::Counter& c, auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (c.merge == util::Merge::kNone) return;
+      in.at(c.name);
+      if constexpr (std::is_floating_point_v<T>)
+        v = in.get_number(c.name, 0.0);
+      else
+        v = static_cast<T>(in.get_u64(c.name, 0));
+    }
+  }, s);
 }
 
 }  // namespace
@@ -130,6 +158,20 @@ std::vector<std::pair<dag::NodeId, machine::ProcId>> assignments_from_json(
                      static_cast<machine::ProcId>(as_u32(np[1], "proc")));
   }
   return seq;
+}
+
+Json encode_bye(const core::SearchStats& search, const ParallelStats& wire) {
+  Json bye;
+  bye["t"] = "bye";
+  counters_to_json(search, bye);
+  counters_to_json(wire, bye);
+  return bye;
+}
+
+void decode_bye(const Json& bye, core::SearchStats& search,
+                ParallelStats& wire) {
+  counters_from_json(bye, search);
+  counters_from_json(bye, wire);
 }
 
 AbstractOwner::AbstractOwner(const std::vector<dag::NodeId>& node_by_rank,

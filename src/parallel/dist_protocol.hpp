@@ -20,7 +20,7 @@
 //     status  binary: idle, rcvd, exp, open, min_f  liveness + Mattern counters
 //     limit   JSON {t}                         worker's memory cap tripped
 //     err     JSON {t, msg}                    typed failure before exit
-//     bye     JSON {t, <full counter set>}     final stats, then _exit(0)
+//     bye     JSON {t, <counters>}             final stats, then _exit(0)
 //
 //   coordinator -> worker
 //     init    JSON {t, v, graph, machine, comm, cfg, procs, rank,
@@ -28,6 +28,13 @@
 //     batch   binary, another worker's batch relayed byte for byte
 //     bound   binary: len                      incumbent broadcast
 //     stop    JSON {t}                         terminate, then answer bye
+//
+// A bye carries every mergeable counter of the worker's core::SearchStats
+// and par::ParallelStats under its report name ("expanded",
+// "duplicates_dropped", "peak_memory_bytes", "states_serialized", ...),
+// exactly the names of the suite report columns: encode and decode both
+// iterate the counter tables (util/counters.hpp), so a new counter
+// travels without a protocol edit.
 //
 // A state travels as its assignment sequence from the root — the same
 // self-contained representation the in-process transports ship
@@ -51,9 +58,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/astar.hpp"
 #include "core/config.hpp"
 #include "dag/graph.hpp"
 #include "machine/machine.hpp"
+#include "parallel/transport.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
 
@@ -85,6 +94,15 @@ util::Json assignments_to_json(
     const std::vector<std::pair<dag::NodeId, machine::ProcId>>& seq);
 std::vector<std::pair<dag::NodeId, machine::ProcId>> assignments_from_json(
     const util::Json& j);
+
+// ---- bye payload ---------------------------------------------------------
+
+/// A worker's final counters as a bye frame.
+util::Json encode_bye(const core::SearchStats& search,
+                      const ParallelStats& wire);
+/// Inverse of encode_bye; throws util::Error on an absent counter.
+void decode_bye(const util::Json& bye, core::SearchStats& search,
+                ParallelStats& wire);
 
 // ---- state ownership -----------------------------------------------------
 

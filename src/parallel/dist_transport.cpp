@@ -389,13 +389,13 @@ class DistWorker {
     // anyway, so suppressing the resend only saves wire traffic
     // (DESIGN.md §11.3).
     if (!send_filter_[owner].fresh(child.sig)) {
-      ++deduped_;
+      ++wire_.states_deduped_at_send;
       return;
     }
     if (pending_states_ == 0) pending_since_ = clock_.micros();
     enc_[owner].append(child_sequence(child), child.f());
     ++pending_states_;
-    ++serialized_;
+    ++wire_.states_serialized;
     if (enc_[owner].count() >= kFlushStates) flush(owner);
   }
 
@@ -422,7 +422,7 @@ class DistWorker {
   /// Append framed bytes to the outgoing gather queue (shipped by the
   /// next pump_writes()).
   void queue_frame(std::string bytes) {
-    bytes_out_ += bytes.size();
+    wire_.bytes_sent += bytes.size();
     pending_writes_.push_back(std::move(bytes));
   }
 
@@ -440,7 +440,7 @@ class DistWorker {
     if (pending_writes_.empty()) return;
     stream_.write_gather(pending_writes_);
     pending_writes_.clear();
-    ++flushes_;
+    ++wire_.flushes;
   }
 
   void flush(std::uint32_t owner) {
@@ -448,7 +448,6 @@ class DistWorker {
     if (enc.empty()) return;
     pending_states_ -= enc.count();
     queue_frame(enc.take_frame());
-    ++batches_out_;
   }
 
   void flush_all() {
@@ -474,30 +473,13 @@ class DistWorker {
   }
 
   void send_bye() {
-    const auto& s = expander_->stats();
-    Json bye;
-    bye["t"] = "bye";
-    bye["exp"] = s.expanded;
-    bye["gen"] = s.generated;
-    bye["dup"] = s.duplicates_dropped;
-    bye["pruned"] = s.pruned_upper_bound;
-    bye["skip_eq"] = s.skipped_equivalence;
-    bye["skip_iso"] = s.skipped_isomorphism;
-    bye["lf"] = s.loads_full;
-    bye["li"] = s.loads_incremental;
-    bye["ar"] = s.assignments_replayed;
-    bye["ser"] = serialized_;
-    bye["batches"] = batches_out_;
-    bye["rcvd"] = rcvd_batches_;
-    bye["dedup"] = deduped_;
-    bye["flush"] = flushes_;
-    bye["bytes"] = bytes_out_;
-    bye["max_open"] = static_cast<std::uint64_t>(
-        std::max(max_open_, open_->size()));
-    bye["mem"] = static_cast<std::uint64_t>(memory_now());
-    bye["hot"] = static_cast<std::uint64_t>(arena_.hot_memory_bytes());
-    bye["cold"] = static_cast<std::uint64_t>(arena_.cold_memory_bytes());
-    send_json(bye);
+    core::SearchStats s;
+    static_cast<core::ExpandStats&>(s) = expander_->stats();
+    s.max_open_size = std::max(max_open_, open_->size());
+    s.peak_memory_bytes = memory_now();
+    s.arena_hot_bytes = arena_.hot_memory_bytes();
+    s.arena_cold_bytes = arena_.cold_memory_bytes();
+    send_json(encode_bye(s, wire_));
   }
 
   /// Process every frame already buffered or readable without blocking.
@@ -604,11 +586,10 @@ class DistWorker {
   bool halted_ = false;  ///< memory cap tripped: batches counted, not imported
 
   std::uint64_t rcvd_batches_ = 0;
-  std::uint64_t serialized_ = 0;
-  std::uint64_t batches_out_ = 0;
-  std::uint64_t deduped_ = 0;
-  std::uint64_t flushes_ = 0;   ///< gathered write syscalls (pump_writes)
-  std::uint64_t bytes_out_ = 0;
+  /// This worker's wire counters, reported in the bye: states
+  /// serialized and deduped at send, gathered write syscalls
+  /// (pump_writes), bytes queued.
+  ParallelStats wire_;
   std::uint64_t idle_backoff_us_ = 0;  ///< 0 = report immediately
   util::Timer idle_backoff_;
   std::size_t max_open_ = 0;
@@ -995,27 +976,13 @@ class DistCoordinator {
 
     core::SearchStats& st = out.result.stats;
     for (const auto& w : workers_) {
-      const Json& b = w.bye;
       if (!w.got_bye) continue;  // unreachable: collect_byes throws first
-      st.expanded += get_u64(b, "exp");
-      st.generated += get_u64(b, "gen");
-      st.duplicates_dropped += get_u64(b, "dup");
-      st.pruned_upper_bound += get_u64(b, "pruned");
-      st.skipped_equivalence += get_u64(b, "skip_eq");
-      st.skipped_isomorphism += get_u64(b, "skip_iso");
-      st.loads_full += get_u64(b, "lf");
-      st.loads_incremental += get_u64(b, "li");
-      st.assignments_replayed += get_u64(b, "ar");
-      st.peak_memory_bytes += static_cast<std::size_t>(get_u64(b, "mem"));
-      st.arena_hot_bytes += static_cast<std::size_t>(get_u64(b, "hot"));
-      st.arena_cold_bytes += static_cast<std::size_t>(get_u64(b, "cold"));
-      st.max_open_size = std::max(
-          st.max_open_size, static_cast<std::size_t>(get_u64(b, "max_open")));
-      out.par_stats.states_serialized += get_u64(b, "ser");
-      out.par_stats.states_deduped_at_send += get_u64(b, "dedup");
-      out.par_stats.flushes += get_u64(b, "flush");
-      out.par_stats.bytes_sent += get_u64(b, "bytes");
-      out.par_stats.expanded_per_ppe.push_back(get_u64(b, "exp"));
+      core::SearchStats search;
+      ParallelStats wire;
+      decode_bye(w.bye, search, wire);
+      util::merge_counters(st, search);
+      util::merge_counters(out.par_stats, wire);
+      out.par_stats.expanded_per_ppe.push_back(search.expanded);
     }
     // Coordinator-side bytes, counted as the sockets took them.
     for (const auto& w : workers_) out.par_stats.bytes_sent += w.bytes_written;

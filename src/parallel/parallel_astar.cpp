@@ -550,13 +550,14 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
   }
 
   for (const auto& ppe : ppes) {
-    out.result.stats.absorb(ppe->stats());
-    out.result.stats.peak_memory_bytes += ppe->memory_bytes();
-    out.result.stats.arena_hot_bytes += ppe->arena_hot_bytes();
-    out.result.stats.arena_cold_bytes += ppe->arena_cold_bytes();
-    out.result.stats.bucket_peak =
-        std::max(out.result.stats.bucket_peak, ppe->open().peak_span());
-    out.par_stats.expanded_per_ppe.push_back(ppe->stats().expanded);
+    core::SearchStats s;
+    static_cast<core::ExpandStats&>(s) = ppe->stats();
+    s.peak_memory_bytes = ppe->memory_bytes();
+    s.arena_hot_bytes = ppe->arena_hot_bytes();
+    s.arena_cold_bytes = ppe->arena_cold_bytes();
+    s.bucket_peak = ppe->open().peak_span();
+    util::merge_counters(out.result.stats, s);
+    out.par_stats.expanded_per_ppe.push_back(s.expanded);
   }
   // Every PPE builds its frontier by the same rule from the same problem.
   out.result.stats.queue_kind = ppes.front()->open().queue_kind();

@@ -42,6 +42,7 @@
 #include "core/state.hpp"
 #include "dag/graph.hpp"
 #include "machine/machine.hpp"
+#include "util/counters.hpp"
 #include "util/flat_set.hpp"
 
 namespace optsched::core {
@@ -117,6 +118,33 @@ struct ParallelStats {
   /// Bytes written to dist sockets across all processes (workers + the
   /// coordinator's relay writers).
   std::uint64_t bytes_sent = 0;
+
+  /// The counter table (util/counters.hpp), in report order; `mode` and
+  /// `expanded_per_ppe` are not counters. PPE and shard counts follow
+  /// the engine's configuration, so they are effort, not semantic.
+  template <class F, class... S>
+  static void visit(F&& f, S&... s) {
+    using util::Counter;
+    using enum util::Merge;
+    using enum util::CounterClass;
+    f(Counter{"messages_sent", kSum, kEffort}, s.messages_sent...);
+    f(Counter{"states_transferred", kSum, kEffort}, s.states_transferred...);
+    f(Counter{"comm_rounds", kSum, kEffort}, s.comm_rounds...);
+    f(Counter{"steal_attempts", kSum, kEffort}, s.steal_attempts...);
+    f(Counter{"steals", kSum, kEffort}, s.steals...);
+    f(Counter{"donations", kSum, kEffort}, s.donations...);
+    f(Counter{"shards", kMax, kEffort}, s.shards...);
+    f(Counter{"shard_hits", kSum, kEffort}, s.shard_hits...);
+    f(Counter{"requested_ppes", kMax, kEffort}, s.requested_ppes...);
+    f(Counter{"effective_ppes", kMax, kEffort}, s.effective_ppes...);
+    f(Counter{"states_serialized", kSum, kRun}, s.states_serialized...);
+    f(Counter{"batches_sent", kSum, kRun}, s.batches_sent...);
+    f(Counter{"termination_rounds", kSum, kRun}, s.termination_rounds...);
+    f(Counter{"states_deduped_at_send", kSum, kRun},
+      s.states_deduped_at_send...);
+    f(Counter{"flushes", kSum, kRun}, s.flushes...);
+    f(Counter{"bytes_sent", kSum, kRun}, s.bytes_sent...);
+  }
 };
 
 /// Published per-PPE status: the quiescence-detection flags plus the

@@ -98,6 +98,52 @@ inline std::string format_number_lenient(double v) {
   return std::string(buf, end);
 }
 
+/// One CSV cell: quoted (with embedded quotes doubled) when it holds a
+/// comma, a quote or a newline, verbatim otherwise.
+inline std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+  std::string out = "\"";
+  for (const char c : cell) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
+/// The body of a JSON string literal (without the surrounding quotes):
+/// quote and backslash escaped, every control character below 0x20 as
+/// \n, \t or \u00XX.
+inline std::string json_escape(const std::string& text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(text.size() + 2);
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (u < 0x20) {
+          out += "\\u00";
+          out += kHex[u >> 4];
+          out += kHex[u & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+/// A JSON number. JSON has no Infinity/NaN literals: a non-finite double
+/// (the bound_factor of a result that proved nothing) serializes as null.
+inline std::string json_number(double v) {
+  return std::isfinite(v) ? format_number(v) : "null";
+}
+
 /// Join with a separator: join({"a","b"}, ",") == "a,b".
 inline std::string join(const std::vector<std::string>& parts,
                         std::string_view sep) {

@@ -17,31 +17,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 /// Proved *exactly* optimal (a bounded proof has bound_factor > 1).
 bool exact_proof(const api::SolveResult& r) {
   return r.proved_optimal && r.bound_factor == 1.0;
@@ -317,8 +292,8 @@ void write_churn_csv(const ChurnReport& report, std::ostream& out) {
         << r.warm_expanded << ',' << r.cold_expanded << ','
         << (r.warm_start_used ? 1 : 0) << ',' << r.states_retained << ','
         << util::format_number(r.search_skipped_pct) << ','
-        << (r.oracle_ok ? 1 : 0) << ',' << csv_escape(r.error) << ','
-        << csv_escape(r.spec) << ',' << r.warm_time_ms << ','
+        << (r.oracle_ok ? 1 : 0) << ',' << util::csv_escape(r.error) << ','
+        << util::csv_escape(r.spec) << ',' << r.warm_time_ms << ','
         << r.cold_time_ms << "\n";
   }
 }
@@ -328,12 +303,12 @@ void write_churn_json(const ChurnReport& report, std::ostream& out) {
     std::string s;
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (i) s += ", ";
-      s += '"' + json_escape(items[i]) + '"';
+      s += '"' + util::json_escape(items[i]) + '"';
     }
     return s;
   };
   out << "{\n  \"cases\": " << report.cases << ", \"engine\": \""
-      << json_escape(report.engine) << "\", \"ok\": "
+      << util::json_escape(report.engine) << "\", \"ok\": "
       << (report.ok() ? "true" : "false") << ", \"cancelled\": "
       << (report.cancelled ? "true" : "false")
       << ",\n  \"single_delta_skip_mean_pct\": "
@@ -359,7 +334,7 @@ void write_churn_json(const ChurnReport& report, std::ostream& out) {
     const auto& r = report.records[i];
     out << (i ? ",\n" : "\n") << "    {\"case\": " << r.case_index
         << ", \"step\": " << r.step << ", \"spec\": \""
-        << json_escape(r.spec) << "\", \"warm_makespan\": "
+        << util::json_escape(r.spec) << "\", \"warm_makespan\": "
         << util::format_number(r.warm_makespan) << ", \"cold_makespan\": "
         << util::format_number(r.cold_makespan) << ", \"warm_proved\": "
         << (r.warm_proved ? "true" : "false") << ", \"cold_proved\": "
@@ -370,7 +345,8 @@ void write_churn_json(const ChurnReport& report, std::ostream& out) {
         << ", \"search_skipped_pct\": "
         << util::format_number(r.search_skipped_pct) << ", \"oracle_ok\": "
         << (r.oracle_ok ? "true" : "false") << ", \"error\": \""
-        << json_escape(r.error) << "\", \"warm_time_ms\": " << r.warm_time_ms
+        << util::json_escape(r.error)
+        << "\", \"warm_time_ms\": " << r.warm_time_ms
         << ", \"cold_time_ms\": " << r.cold_time_ms << "}";
   }
   out << "\n  ],\n  \"wall_ms\": " << report.wall_ms << "\n}\n";

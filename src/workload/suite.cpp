@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "api/registry.hpp"
 #include "sched/validator.hpp"
@@ -79,43 +80,14 @@ void check_oracle(const std::vector<ScenarioSpec>& corpus, std::size_t i,
   }
 }
 
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-/// JSON has no Infinity/NaN literals: non-finite doubles (the
-/// bound_factor of a result that proved nothing) serialize as null.
-std::string json_number(double v) {
-  return std::isfinite(v) ? util::format_number(v) : "null";
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+/// The counters an aggregate reduces: numeric, with a merge rule; the
+/// value is passed as a double (bools count as 0/1).
+template <class F>
+void visit_aggregable(const api::SolveStats& stats, F&& f) {
+  api::SolveStats::visit([&](const util::Counter& c, const auto& v) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>)
+      if (c.merge != util::Merge::kNone) f(c, static_cast<double>(v));
+  }, stats);
 }
 
 }  // namespace
@@ -210,39 +182,7 @@ SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
                   ? config.remote_solve(*instance, config.engines[e],
                                         config.limits)
                   : api::solve(engine_names[e], request);
-          rec.makespan = result.makespan;
-          rec.proved_optimal = result.proved_optimal;
-          rec.bound_factor = result.bound_factor;
-          rec.termination = core::to_string(result.reason);
-          rec.queue_kind = result.stats.search.queue_kind;
-          rec.fallback_reason = result.stats.search.queue_fallback;
-          rec.bucket_peak = result.stats.search.bucket_peak;
-          rec.expanded = result.stats.search.expanded;
-          rec.generated = result.stats.search.generated;
-          rec.loads_full = result.stats.search.loads_full;
-          rec.loads_incremental = result.stats.search.loads_incremental;
-          rec.peak_memory_bytes = result.stats.search.peak_memory_bytes;
-          rec.arena_hot_bytes = result.stats.search.arena_hot_bytes;
-          rec.arena_cold_bytes = result.stats.search.arena_cold_bytes;
-          rec.parallel_mode = result.stats.parallel_mode;
-          rec.states_transferred = result.stats.states_transferred;
-          rec.steals = result.stats.steals;
-          rec.shard_hits = result.stats.shard_hits;
-          rec.expanded_per_ppe = result.stats.expanded_per_ppe;  // sorted
-          rec.effective_ppes = result.stats.effective_ppes;
-          rec.warm_start_used = result.stats.warm_start_used;
-          rec.states_retained = result.stats.states_retained;
-          rec.search_skipped_pct = result.stats.search_skipped_pct;
-          rec.cache_hit = result.stats.cache_hit;
-          rec.cache_lookups = result.stats.cache_lookups;
-          rec.cache_bytes = result.stats.cache_bytes;
-          rec.queue_wait_ms = result.stats.queue_wait_ms;
-          rec.states_serialized = result.stats.states_serialized;
-          rec.batches_sent = result.stats.batches_sent;
-          rec.termination_rounds = result.stats.termination_rounds;
-          rec.states_deduped_at_send = result.stats.states_deduped_at_send;
-          rec.flushes = result.stats.flushes;
-          rec.bytes_sent = result.stats.bytes_sent;
+          rec.take(result);
           rec.valid = true;
           if (config.validate_schedules) {
             const auto violations = validator.check(result.schedule);
@@ -318,8 +258,8 @@ std::string SuiteReport::summary() const {
       ++runs;
       if (rec.proved_optimal) ++proved;
       makespan.add(rec.makespan);
-      expanded.add(static_cast<double>(rec.expanded));
-      delta += rec.loads_incremental;
+      expanded.add(static_cast<double>(rec.stats.search.expanded));
+      delta += rec.stats.search.loads_incremental;
       time_ms.add(rec.time_ms);
     }
     table.row()
@@ -342,8 +282,8 @@ std::string SuiteReport::summary() const {
   // (in-process suites report zero lookups).
   std::uint64_t lookups = 0, hits = 0;
   for (const auto& rec : records) {
-    lookups += rec.cache_lookups ? 1 : 0;
-    hits += rec.cache_hit ? 1 : 0;
+    lookups += rec.stats.cache_lookups ? 1 : 0;
+    hits += rec.stats.cache_hit ? 1 : 0;
   }
   if (lookups)
     out << "cache: " << hits << "/" << lookups << " runs served from cache\n";
@@ -355,42 +295,36 @@ std::string SuiteReport::summary() const {
   return out.str();
 }
 
+void SuiteRecord::take(const api::SolveResult& result) {
+  makespan = result.makespan;
+  proved_optimal = result.proved_optimal;
+  bound_factor = result.bound_factor;
+  termination = core::to_string(result.reason);
+  stats = result.stats;
+}
+
+std::vector<std::string> column_names(
+    const std::vector<util::CounterClass>& classes) {
+  std::vector<std::string> names;
+  SuiteRecord{}.visit_columns([&](const util::Counter& c, const auto&) {
+    if (std::find(classes.begin(), classes.end(), c.cls) != classes.end())
+      names.emplace_back(c.name);
+  });
+  return names;
+}
+
 void write_csv(const SuiteReport& report, std::ostream& out) {
-  out << "instance,family,engine,nodes,edges,procs,makespan,proved_optimal,"
-         "bound_factor,termination,queue_kind,fallback_reason,expanded,"
-         "generated,loads_full,"
-         "loads_incremental,peak_memory_bytes,arena_hot_bytes,"
-         "arena_cold_bytes,parallel_mode,states_transferred,steals,"
-         "shard_hits,effective_ppes,warm_start_used,states_retained,"
-         "search_skipped_pct,valid,error,spec,cache_hit,cache_lookups,"
-         "cache_bytes,queue_wait_ms,bucket_peak,"
-         "states_serialized,batches_sent,termination_rounds,"
-         "states_deduped_at_send,flushes,bytes_sent,time_ms\n";
+  const char* sep = "";
+  SuiteRecord{}.visit_columns([&](const util::Counter& c, const auto&) {
+    out << std::exchange(sep, ",") << c.name;
+  });
+  out << '\n';
   for (const auto& r : report.records) {
-    out << r.instance << ',' << r.family << ',' << csv_escape(r.engine) << ','
-        << r.nodes << ',' << r.edges << ',' << r.procs << ','
-        << util::format_number(r.makespan)
-        << ',' << (r.proved_optimal ? 1 : 0) << ','
-        << util::format_number_lenient(r.bound_factor) << ',' << r.termination
-        << ','
-        << r.queue_kind << ',' << r.fallback_reason << ','
-        << r.expanded << ',' << r.generated << ',' << r.loads_full << ','
-        << r.loads_incremental << ',' << r.peak_memory_bytes << ','
-        << r.arena_hot_bytes << ',' << r.arena_cold_bytes << ','
-        << r.parallel_mode << ',' << r.states_transferred << ',' << r.steals
-        << ',' << r.shard_hits << ',' << r.effective_ppes << ','
-        << (r.warm_start_used ? 1 : 0) << ',' << r.states_retained << ','
-        << util::format_number(r.search_skipped_pct) << ','
-        << (r.valid ? 1 : 0) << ','
-        << csv_escape(r.error) << ',' << csv_escape(r.spec) << ','
-        << (r.cache_hit ? 1 : 0) << ',' << r.cache_lookups << ','
-        << r.cache_bytes << ',' << util::format_number(r.queue_wait_ms) << ','
-        << r.bucket_peak << ','
-        << r.states_serialized << ',' << r.batches_sent << ','
-        << r.termination_rounds << ','
-        << r.states_deduped_at_send << ',' << r.flushes << ','
-        << r.bytes_sent << ','
-        << util::format_number(r.time_ms) << '\n';
+    sep = "";
+    r.visit_columns([&](const util::Counter&, const auto& v) {
+      out << std::exchange(sep, ",") << util::csv_escape(util::counter_text(v));
+    });
+    out << '\n';
   }
 }
 
@@ -399,7 +333,7 @@ void write_json(const SuiteReport& report, std::ostream& out) {
     std::string s = "[";
     for (std::size_t i = 0; i < list.size(); ++i) {
       if (i) s += ", ";
-      s += '"' + json_escape(list[i]) + '"';
+      s += '"' + util::json_escape(list[i]) + '"';
     }
     return s + "]";
   };
@@ -409,54 +343,42 @@ void write_json(const SuiteReport& report, std::ostream& out) {
       << (report.ok() ? "true" : "false") << ", \"cancelled\": "
       << (report.cancelled ? "true" : "false")
       << ", \"engines\": " << string_list(report.engines)
-      << ", \"wall_ms\": " << json_number(report.wall_ms) << "},\n";
+      << ", \"wall_ms\": " << util::json_number(report.wall_ms) << "},\n";
 
+  // Per engine: total_<name> for summed counters, max_<name> for max and
+  // memory ones (util::merge_value across runs), over the error-free runs.
   out << "  \"aggregates\": {";
   bool first_engine = true;
   for (const auto& engine : report.engines) {
     util::Accumulator makespan, time_ms;
-    std::uint64_t runs = 0, proved = 0, expanded = 0, delta = 0, full = 0;
-    std::uint64_t transferred = 0, shard_hits = 0, cache_hits = 0;
-    std::uint64_t serialized = 0, batches = 0, term_rounds = 0;
-    std::uint64_t send_dedup = 0, flushes = 0, wire_bytes = 0;
-    std::size_t peak = 0;
+    std::uint64_t runs = 0, proved = 0;
+    std::vector<std::pair<std::string, double>> totals;
+    visit_aggregable(api::SolveStats{}, [&](const util::Counter& c, double) {
+      totals.emplace_back(
+          (c.merge == util::Merge::kSum ? "total_" : "max_") +
+              std::string(c.name),
+          0.0);
+    });
     for (const auto& r : report.records) {
       if (r.engine != engine || !r.error.empty()) continue;
       ++runs;
       if (r.proved_optimal) ++proved;
-      if (r.cache_hit) ++cache_hits;
       makespan.add(r.makespan);
-      expanded += r.expanded;
-      delta += r.loads_incremental;
-      full += r.loads_full;
-      transferred += r.states_transferred;
-      shard_hits += r.shard_hits;
-      serialized += r.states_serialized;
-      batches += r.batches_sent;
-      term_rounds += r.termination_rounds;
-      send_dedup += r.states_deduped_at_send;
-      flushes += r.flushes;
-      wire_bytes += r.bytes_sent;
-      peak = std::max(peak, r.peak_memory_bytes);
       time_ms.add(r.time_ms);
+      std::size_t k = 0;
+      visit_aggregable(r.stats, [&](const util::Counter& c, double v) {
+        util::merge_value(c.merge, totals[k++].second, v,
+                          /*across_runs=*/true);
+      });
     }
-    out << (first_engine ? "\n" : ",\n") << "    \"" << json_escape(engine)
-        << "\": {\"runs\": " << runs << ", \"proved_optimal\": " << proved
-        << ", \"mean_makespan\": " << json_number(makespan.mean())
-        << ", \"total_expanded\": " << expanded
-        << ", \"total_loads_full\": " << full
-        << ", \"total_loads_incremental\": " << delta
-        << ", \"total_states_transferred\": " << transferred
-        << ", \"total_shard_hits\": " << shard_hits
-        << ", \"total_states_serialized\": " << serialized
-        << ", \"total_batches_sent\": " << batches
-        << ", \"total_termination_rounds\": " << term_rounds
-        << ", \"total_states_deduped_at_send\": " << send_dedup
-        << ", \"total_flushes\": " << flushes
-        << ", \"total_bytes_sent\": " << wire_bytes
-        << ", \"cache_hits\": " << cache_hits
-        << ", \"max_peak_memory_bytes\": " << peak
-        << ", \"total_time_ms\": " << json_number(time_ms.sum()) << "}";
+    out << (first_engine ? "\n" : ",\n") << "    \""
+        << util::json_escape(engine) << "\": {\"runs\": " << runs
+        << ", \"proved_optimal\": " << proved
+        << ", \"mean_makespan\": " << util::json_number(makespan.mean());
+    for (const auto& [name, total] : totals)
+      out << ", \"" << name << "\": " << util::json_number(total);
+    out << ", \"total_time_ms\": " << util::json_number(time_ms.sum())
+        << "}";
     first_engine = false;
   }
   out << "\n  },\n";
@@ -469,56 +391,21 @@ void write_json(const SuiteReport& report, std::ostream& out) {
   out << "  \"records\": [\n";
   for (std::size_t i = 0; i < report.records.size(); ++i) {
     const auto& r = report.records[i];
-    out << "    {\"instance\": " << r.instance << ", \"family\": \""
-        << json_escape(r.family) << "\", \"engine\": \""
-        << json_escape(r.engine) << "\", \"nodes\": " << r.nodes
-        << ", \"edges\": " << r.edges << ", \"procs\": " << r.procs
-        << ", \"makespan\": " << json_number(r.makespan)
-        << ", \"proved_optimal\": " << (r.proved_optimal ? "true" : "false")
-        << ", \"bound_factor\": " << json_number(r.bound_factor)
-        << ", \"termination\": \"" << json_escape(r.termination)
-        << "\", \"queue_kind\": \"" << json_escape(r.queue_kind)
-        << "\", \"fallback_reason\": \"" << json_escape(r.fallback_reason)
-        << "\", \"expanded\": " << r.expanded
-        << ", \"generated\": " << r.generated
-        << ", \"loads_full\": " << r.loads_full
-        << ", \"loads_incremental\": " << r.loads_incremental
-        << ", \"peak_memory_bytes\": " << r.peak_memory_bytes
-        << ", \"arena_hot_bytes\": " << r.arena_hot_bytes
-        << ", \"arena_cold_bytes\": " << r.arena_cold_bytes;
-    if (!r.parallel_mode.empty()) {
-      // Sorted descending (not PPE-id order) so reruns diff on the load
-      // distribution alone; min/max aggregates for quick scans.
-      out << ", \"parallel_mode\": \"" << json_escape(r.parallel_mode)
-          << "\", \"states_transferred\": " << r.states_transferred
-          << ", \"steals\": " << r.steals
-          << ", \"shard_hits\": " << r.shard_hits << ", \"expanded_per_ppe\": [";
-      for (std::size_t p = 0; p < r.expanded_per_ppe.size(); ++p)
-        out << (p ? ", " : "") << r.expanded_per_ppe[p];
-      out << "], \"ppe_expanded_min\": "
-          << (r.expanded_per_ppe.empty() ? 0 : r.expanded_per_ppe.back())
-          << ", \"ppe_expanded_max\": "
-          << (r.expanded_per_ppe.empty() ? 0 : r.expanded_per_ppe.front())
-          << ", \"effective_ppes\": " << r.effective_ppes
-          << ", \"states_serialized\": " << r.states_serialized
-          << ", \"batches_sent\": " << r.batches_sent
-          << ", \"termination_rounds\": " << r.termination_rounds
-          << ", \"states_deduped_at_send\": " << r.states_deduped_at_send
-          << ", \"flushes\": " << r.flushes
-          << ", \"bytes_sent\": " << r.bytes_sent;
-    }
-    out << ", \"warm_start_used\": " << (r.warm_start_used ? "true" : "false")
-        << ", \"states_retained\": " << r.states_retained
-        << ", \"search_skipped_pct\": "
-        << util::format_number(r.search_skipped_pct);
-    out << ", \"valid\": " << (r.valid ? "true" : "false") << ", \"error\": \""
-        << json_escape(r.error) << "\", \"spec\": \"" << json_escape(r.spec)
-        << "\", \"cache_hit\": " << (r.cache_hit ? "true" : "false")
-        << ", \"cache_lookups\": " << r.cache_lookups
-        << ", \"cache_bytes\": " << r.cache_bytes
-        << ", \"queue_wait_ms\": " << json_number(r.queue_wait_ms)
-        << ", \"bucket_peak\": " << r.bucket_peak
-        << ", \"time_ms\": " << json_number(r.time_ms) << "}"
+    const char* sep = "    {";
+    r.visit_columns([&](const util::Counter& c, const auto& v) {
+      out << std::exchange(sep, ", ") << '"' << c.name
+          << "\": " << util::counter_json(v);
+    });
+    // Sorted descending (not PPE-id order) so reruns diff on the load
+    // distribution alone; min/max for quick scans.
+    const auto& per_ppe = r.stats.expanded_per_ppe;
+    out << ", \"expanded_per_ppe\": [";
+    for (std::size_t p = 0; p < per_ppe.size(); ++p)
+      out << (p ? ", " : "") << per_ppe[p];
+    out << "], \"ppe_expanded_min\": "
+        << (per_ppe.empty() ? 0 : per_ppe.back())
+        << ", \"ppe_expanded_max\": "
+        << (per_ppe.empty() ? 0 : per_ppe.front()) << "}"
         << (i + 1 < report.records.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

@@ -7,7 +7,8 @@
 // results together), validate every returned schedule with
 // ScheduleValidator, and write records into preallocated (instance,
 // engine) slots — the report is therefore deterministic regardless of the
-// thread count or completion order; only the timing column varies.
+// thread count or completion order; for serial engines only the run-class
+// columns (timing, serving layer) vary.
 //
 // The differential oracle per instance:
 //  * all proved-optimal results (bound_factor == 1) must agree on the
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "api/solver.hpp"
+#include "util/counters.hpp"
 #include "workload/scenario.hpp"
 
 namespace optsched::workload {
@@ -63,13 +65,10 @@ struct SuiteConfig {
 };
 
 /// One (instance, engine) run. For serial engines every field except
-/// time_ms is a pure function of the spec and engine, so reports diff
-/// cleanly across runs; multithreaded engines (`parallel`, `portfolio`)
-/// report timing-dependent search stats, which is why the CLI's default
-/// engine set is serial-only. Per-PPE expansion counts are stored sorted
-/// (descending) and emitted with min/max aggregates — per-thread
-/// attribution is timing-dependent, so reports never depend on PPE
-/// numbering, only on the (still timing-dependent) distribution.
+/// the run-class counters and time_ms is a pure function of the spec and
+/// engine, so reports diff cleanly across runs; multithreaded engines
+/// (`parallel`, `portfolio`) report timing-dependent effort counters,
+/// which is why the CLI's default engine set is serial-only.
 struct SuiteRecord {
   std::size_t instance = 0;  ///< corpus index
   std::string spec;          ///< canonical scenario line
@@ -82,55 +81,22 @@ struct SuiteRecord {
   bool proved_optimal = false;
   double bound_factor = 0.0;
   std::string termination;
-  /// OPEN structure the solve ran on ("heap"/"bucket"/"focal"; empty for
-  /// non-search engines) and why queue=auto fell back to the heap (empty
-  /// when it did not). Pure functions of spec and engine.
-  std::string queue_kind;
-  std::string fallback_reason;
-  std::uint64_t expanded = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t loads_full = 0;
-  std::uint64_t loads_incremental = 0;
-  std::size_t peak_memory_bytes = 0;
-  std::size_t arena_hot_bytes = 0;
-  std::size_t arena_cold_bytes = 0;
-  std::string parallel_mode;  ///< "ring"/"ws"; empty for serial engines
-  std::uint64_t states_transferred = 0;  ///< parallel: shipped or stolen
-  std::uint64_t steals = 0;              ///< parallel ws mode
-  std::uint64_t shard_hits = 0;  ///< duplicates filtered by the shared table
-  std::vector<std::uint64_t> expanded_per_ppe;  ///< sorted descending
-  /// PPEs actually run after the feedability clamp (parallel ws mode; 0
-  /// for serial engines).
-  std::uint32_t effective_ppes = 0;
-  /// Warm-start columns (SolveStats): always present so suite and churn
-  /// reports share a schema; one-shot suite runs leave them false/0.
-  bool warm_start_used = false;
-  std::uint64_t states_retained = 0;
-  double search_skipped_pct = 0.0;
-  /// Serving-layer columns (SolveStats): false/0 for in-process runs;
-  /// filled by the --via-socket remote hook. cache_lookups/cache_bytes
-  /// snapshot daemon-lifetime state and queue_wait_ms is wall-clock, so
-  /// like time_ms they are excluded from determinism diffs.
-  bool cache_hit = false;
-  std::uint64_t cache_lookups = 0;
-  std::size_t cache_bytes = 0;
-  double queue_wait_ms = 0.0;
-  /// Bucket-queue peak key span. Run-dependent: the parallel engine's
-  /// peak depends on thread timing, so it lives in the trailing CSV zone
-  /// determinism diffs strip.
-  std::uint64_t bucket_peak = 0;
-  /// Distributed-mode counters (parallel engine, mode=dist; 0 elsewhere).
-  /// Run-dependent — bound-arrival timing changes which states cross
-  /// process boundaries — so they live in the trailing CSV zone too.
-  std::uint64_t states_serialized = 0;
-  std::uint64_t batches_sent = 0;
-  std::uint64_t termination_rounds = 0;
-  std::uint64_t states_deduped_at_send = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t bytes_sent = 0;
+  /// Every engine counter, reported through the counter table
+  /// (api::SolveStats::visit). expanded_per_ppe is sorted descending.
+  api::SolveStats stats;
   bool valid = false;  ///< ScheduleValidator verdict (true when disabled)
   std::string error;   ///< exception text; empty on success
   double time_ms = 0.0;
+
+  /// Copy a solve's outcome and counters into the record.
+  void take(const api::SolveResult& result);
+
+  /// Every report column of a record in schema order: f(Counter, value).
+  /// The record's own columns (identity, outcome) frame the counter
+  /// table: semantic and effort counters first, then valid/error/spec,
+  /// then the run-class counters and time_ms last.
+  template <class F>
+  void visit_columns(F&& f) const;
 };
 
 struct SuiteReport {
@@ -160,20 +126,52 @@ struct SuiteReport {
 SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
                       const SuiteConfig& config);
 
-/// One header row plus one row per record. The trailing twelve columns
-/// (cache_hit, cache_lookups, cache_bytes, queue_wait_ms, bucket_peak,
-/// states_serialized, batches_sent, termination_rounds,
-/// states_deduped_at_send, flushes, bytes_sent, time_ms) are
-/// run-dependent — serving-layer state, thread-timing counters, dist-mode
-/// communication, and wall-clock — so
-/// determinism diffs strip them by *name* (scripts/strip_csv_columns.awk;
-/// never by position, which silently breaks when columns move); every
-/// earlier column is a pure function of spec and engine for serial
-/// engines.
+/// One header row plus one row per record, columns in
+/// SuiteRecord::visit_columns order. The run-class columns
+/// (`optsched_cli suite --list-columns=run`) are run-dependent —
+/// serving-layer state, thread-timing counters, dist-mode communication,
+/// and wall-clock — so determinism diffs strip them by *name*
+/// (scripts/strip_csv_columns.awk; never by position, which silently
+/// breaks when columns move); every other column is a pure function of
+/// spec and engine for serial engines.
 void write_csv(const SuiteReport& report, std::ostream& out);
 
-/// Full report as JSON: suite metadata, per-engine aggregates, failure
-/// lists, and all records (time fields last).
+/// Full report as JSON: suite metadata, per-engine aggregates (runs,
+/// proved_optimal, mean_makespan, total_<name> for every summed counter,
+/// max_<name> for every max/memory one, total_time_ms), failure lists,
+/// and all records (every column, plus expanded_per_ppe and its min/max).
 void write_json(const SuiteReport& report, std::ostream& out);
+
+/// The report columns of the given classes, in schema order.
+std::vector<std::string> column_names(
+    const std::vector<util::CounterClass>& classes);
+
+template <class F>
+void SuiteRecord::visit_columns(F&& f) const {
+  using util::Counter;
+  using enum util::Merge;
+  using enum util::CounterClass;
+  f(Counter{"instance", kNone, kSemantic}, instance);
+  f(Counter{"family", kNone, kSemantic}, family);
+  f(Counter{"engine", kNone, kSemantic}, engine);
+  f(Counter{"nodes", kNone, kSemantic}, nodes);
+  f(Counter{"edges", kNone, kSemantic}, edges);
+  f(Counter{"procs", kNone, kSemantic}, procs);
+  f(Counter{"makespan", kNone, kSemantic}, makespan);
+  f(Counter{"proved_optimal", kNone, kSemantic}, proved_optimal);
+  f(Counter{"bound_factor", kNone, kSemantic}, bound_factor);
+  f(Counter{"termination", kNone, kSemantic}, termination);
+  const auto counters = [&](bool run) {
+    api::SolveStats::visit([&](const Counter& c, const auto& v) {
+      if ((c.cls == kRun) == run) f(c, v);
+    }, stats);
+  };
+  counters(false);
+  f(Counter{"valid", kNone, kSemantic}, valid);
+  f(Counter{"error", kNone, kSemantic}, error);
+  f(Counter{"spec", kNone, kSemantic}, spec);
+  counters(true);
+  f(Counter{"time_ms", kNone, kRun}, time_ms);
+}
 
 }  // namespace optsched::workload

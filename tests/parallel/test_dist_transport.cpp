@@ -18,6 +18,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "parallel/parallel_astar.hpp"
 #include "sched/schedule.hpp"
 #include "util/assert.hpp"
+#include "util/counters.hpp"
 
 namespace optsched::par {
 namespace {
@@ -162,6 +164,73 @@ TEST(DistProtocol, MalformedFramesThrowTypedErrors) {
   EXPECT_THROW(graph_from_json(util::Json::parse("[]")), util::Error);
   EXPECT_THROW(assignments_from_json(util::Json::parse("[[1]]")),
                util::Error);
+}
+
+// ---- bye counters ---------------------------------------------------------
+
+/// Give every numeric counter of `s` a distinct nonzero value.
+template <class S>
+void fill_distinct(S& s, std::uint64_t& next) {
+  S::visit([&](const util::Counter&, auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>)
+      v = true;
+    else if constexpr (std::is_arithmetic_v<T>)
+      v = static_cast<T>(next++);
+  }, s);
+}
+
+/// `merged` started at zero and absorbed `copies` copies of `one`: summed
+/// and memory counters read copies * v, max counters v, unmerged ones 0.
+template <class S>
+void expect_merged(const S& merged, const S& one, int copies) {
+  S::visit([&](const util::Counter& c, const auto& got, const auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+      T want{};
+      if (c.merge == util::Merge::kSum || c.merge == util::Merge::kMemory)
+        want = static_cast<T>(v * static_cast<T>(copies));
+      else if (c.merge == util::Merge::kMax)
+        want = v;
+      EXPECT_EQ(got, want) << c.name;
+    }
+  }, merged, one);
+}
+
+TEST(DistProtocol, ByeCarriesEveryCounterThroughTheMerges) {
+  core::SearchStats search;
+  ParallelStats wire;
+  std::uint64_t next = 1;
+  fill_distinct(search, next);
+  fill_distinct(wire, next);
+  search.queue_kind = "heap";  // labels stay with the coordinator
+
+  // Worker encode -> wire text -> coordinator decode + merge, 3 workers.
+  const util::Json bye = util::Json::parse(encode_bye(search, wire).dump());
+  core::SearchStats coordinator;
+  ParallelStats coordinator_wire;
+  for (int w = 0; w < 3; ++w) {
+    core::SearchStats s;
+    ParallelStats p;
+    decode_bye(bye, s, p);
+    util::merge_counters(coordinator, s);
+    util::merge_counters(coordinator_wire, p);
+  }
+  expect_merged(coordinator, search, 3);
+  expect_merged(coordinator_wire, wire, 3);
+  EXPECT_STREQ(coordinator.queue_kind, "");
+
+  // The PPE merge of the in-process engine applies the same rules.
+  core::SearchStats ppes;
+  for (int p = 0; p < 3; ++p) util::merge_counters(ppes, search);
+  expect_merged(ppes, search, 3);
+
+  // A counter missing from a bye is a protocol error, not a silent 0.
+  util::Json::Object fields = bye.as_object();
+  fields.erase("duplicates_dropped");
+  core::SearchStats s;
+  ParallelStats p;
+  EXPECT_THROW(decode_bye(util::Json(fields), s, p), util::Error);
 }
 
 // ---- owner rule -----------------------------------------------------------
@@ -381,6 +450,19 @@ TEST(DistTransport, OneWorkerReproducesSerialCounters) {
         << "v=" << nodes << " seed=" << seed;
     EXPECT_GT(serial.stats.duplicates_dropped, 0u);
     EXPECT_EQ(dist.par_stats.states_serialized, 0u);
+    // Every other effort counter agrees as well, except two whose
+    // bookkeeping differs by design: the worker samples max_open_size at
+    // status time, and its memory holds SEEN, the importer and the send
+    // filters rather than serial CLOSED.
+    core::SearchStats::visit(
+        [&](const util::Counter& c, const auto& a, const auto& b) {
+          const std::string name = c.name;
+          if (c.cls != util::CounterClass::kEffort ||
+              name == "max_open_size" || name == "peak_memory_bytes")
+            return;
+          EXPECT_EQ(a, b) << name << " v=" << nodes << " seed=" << seed;
+        },
+        serial.stats, dist.result.stats);
   }
 }
 

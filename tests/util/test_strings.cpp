@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/jsonl.hpp"
+
 namespace optsched::util {
 namespace {
 
@@ -64,6 +66,29 @@ TEST(Strings, FormatNumberLenientSpellsOutSentinels) {
             "-inf");
   EXPECT_EQ(format_number_lenient(std::nan("")), "nan");
   EXPECT_EQ(format_number_lenient(2.5), format_number(2.5));
+}
+
+TEST(Strings, CsvEscapeQuotesOnlyWhenNeeded) {
+  EXPECT_EQ(csv_escape("plain"), "plain");
+  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(csv_escape("two\nlines"), "\"two\nlines\"");
+}
+
+TEST(Strings, JsonEscapeEncodesEveryControlCharacter) {
+  EXPECT_EQ(json_escape("\r\x01"), "\\u000d\\u0001");
+  EXPECT_EQ(json_escape("q\"b\\n\nt\t"), "q\\\"b\\\\n\\nt\\t");
+  std::string all;
+  for (int c = 1; c < 0x80; ++c) all += static_cast<char>(c);
+  EXPECT_EQ(Json::parse("\"" + json_escape(all) + "\"").as_string(), all);
+  EXPECT_EQ(Json::parse("\"" + json_escape("\r\x01") + "\"").as_string(),
+            "\r\x01");
+}
+
+TEST(Strings, JsonNumberWritesNullForNonFinite) {
+  EXPECT_EQ(json_number(2.5), "2.5");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(std::nan("")), "null");
 }
 
 }  // namespace

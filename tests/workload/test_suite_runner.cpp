@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "api/registry.hpp"
 #include "sched/list_scheduler.hpp"
+#include "util/counters.hpp"
+#include "util/jsonl.hpp"
 #include "workload/corpus.hpp"
 
 namespace optsched::workload {
@@ -24,15 +28,49 @@ family=gauss dim=3 jitter=1 machine=clique:3@1,2,4 seed=2
   return parse_corpus(in);
 }
 
-/// Strip the trailing time_ms column so deterministic content can be
-/// compared across runs and thread counts.
+/// Split CSV text into rows of cells, honoring quoted cells (with
+/// doubled quotes and embedded commas/newlines).
+std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
+  std::vector<std::vector<std::string>> rows(1, std::vector<std::string>(1));
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        rows.back().back() += c;
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        rows.back().back() += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      rows.back().emplace_back();
+    } else if (c == '\n') {
+      rows.emplace_back(1);
+    } else {
+      rows.back().back() += c;
+    }
+  }
+  if (rows.back() == std::vector<std::string>(1)) rows.pop_back();
+  return rows;
+}
+
+/// Drop the wall-clock columns (time_ms, elapsed_seconds) by name so
+/// deterministic content can be compared across runs and thread counts.
 std::string csv_without_time(const SuiteReport& report) {
   std::ostringstream os;
   write_csv(report, os);
+  const auto rows = parse_csv(os.str());
   std::string out;
-  std::istringstream lines(os.str());
-  for (std::string line; std::getline(lines, line);)
-    out += line.substr(0, line.rfind(',')) + "\n";
+  for (const auto& row : rows) {
+    for (std::size_t c = 0; c < row.size(); ++c)
+      if (rows[0][c] != "time_ms" && rows[0][c] != "elapsed_seconds")
+        out += row[c] + ",";
+    out += "\n";
+  }
   return out;
 }
 
@@ -208,6 +246,124 @@ TEST(SuiteRunner, JsonStaysParseableWithUnprovedResults) {
   write_json(report, json);
   EXPECT_EQ(json.str().find(": inf"), std::string::npos) << json.str();
   EXPECT_NE(json.str().find("\"bound_factor\": null"), std::string::npos);
+}
+
+/// The report column names of a CSV header, in order.
+std::vector<std::string> header_of(const SuiteReport& report) {
+  std::ostringstream csv;
+  write_csv(report, csv);
+  return parse_csv(csv.str()).at(0);
+}
+
+SuiteReport mixed_report() {
+  SuiteConfig config;
+  config.engines = {"astar", "chenyu", "parallel:mode=ws:ppes=2"};
+  config.jobs = 2;
+  return run_suite(small_corpus(), config);
+}
+
+TEST(SuiteRunner, EveryColumnAppearsOnceInCsvHeaderAndJsonRecord) {
+  const std::vector<std::string> names = column_names(
+      {util::CounterClass::kSemantic, util::CounterClass::kEffort,
+       util::CounterClass::kRun});
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size())
+      << "duplicate column name";
+
+  const SuiteReport report = mixed_report();
+  ASSERT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(header_of(report), names);
+
+  std::ostringstream json;
+  write_json(report, json);
+  util::Json::parse(json.str());  // well-formed
+  std::istringstream lines(json.str());
+  std::size_t records = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("    {\"instance\": ", 0) != 0) continue;
+    ++records;
+    for (const auto& name : names) {
+      const std::string key = "\"" + name + "\": ";
+      const std::size_t first = line.find(key);
+      EXPECT_NE(first, std::string::npos) << name;
+      EXPECT_EQ(line.find(key, first + 1), std::string::npos) << name;
+    }
+  }
+  EXPECT_EQ(records, report.records.size());
+}
+
+TEST(SuiteRunner, AggregatesEqualARecountOverRecords) {
+  const SuiteReport report = mixed_report();
+  ASSERT_TRUE(report.ok()) << report.summary();
+  std::ostringstream os;
+  write_json(report, os);
+  const util::Json json = util::Json::parse(os.str());
+
+  std::size_t checked = 0;
+  const api::SolveStats table;
+  for (const auto& engine : report.engines) {
+    const util::Json& agg = json.at("aggregates").at(engine);
+    api::SolveStats::visit([&](const util::Counter& c, const auto& v) {
+      if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>) {
+        if (c.merge == util::Merge::kNone) return;
+        const bool sum = c.merge == util::Merge::kSum;
+        double want = 0.0;
+        for (const auto& rec : json.at("records").as_array()) {
+          if (rec.at("engine").as_string() != engine) continue;
+          const util::Json& cell = rec.at(c.name);
+          const double x = cell.is_bool() ? (cell.as_bool() ? 1.0 : 0.0)
+                                          : cell.as_number();
+          want = sum ? want + x : std::max(want, x);
+        }
+        const std::string name =
+            (sum ? "total_" : "max_") + std::string(c.name);
+        EXPECT_EQ(agg.at(name).as_number(), want) << engine << " " << name;
+        ++checked;
+      }
+    }, table);
+  }
+  EXPECT_GE(checked, 3 * 30u);
+}
+
+TEST(SuiteRunner, CsvKeepsEveryColumnOfTheEarlierSchemaInOrder) {
+  // The 42-column header written before the counter table: every column
+  // must survive, under its name, in the same relative order.
+  const std::string earlier =
+      "instance,family,engine,nodes,edges,procs,makespan,proved_optimal,"
+      "bound_factor,termination,queue_kind,fallback_reason,expanded,"
+      "generated,loads_full,loads_incremental,peak_memory_bytes,"
+      "arena_hot_bytes,arena_cold_bytes,parallel_mode,states_transferred,"
+      "steals,shard_hits,effective_ppes,warm_start_used,states_retained,"
+      "search_skipped_pct,valid,error,spec,cache_hit,cache_lookups,"
+      "cache_bytes,queue_wait_ms,bucket_peak,states_serialized,batches_sent,"
+      "termination_rounds,states_deduped_at_send,flushes,bytes_sent,time_ms";
+  const auto old_names = parse_csv(earlier).at(0);
+  ASSERT_EQ(old_names.size(), 42u);
+  const auto names = header_of(SuiteReport{});
+  std::size_t at = 0;
+  for (const auto& name : old_names) {
+    const auto it = std::find(names.begin() + at, names.end(), name);
+    ASSERT_NE(it, names.end()) << name << " dropped, renamed or moved";
+    at = static_cast<std::size_t>(it - names.begin()) + 1;
+  }
+}
+
+TEST(SuiteRunner, CsvQuotesAnErrorHoldingCommasQuotesAndNewlines) {
+  SuiteReport report;
+  SuiteRecord& rec = report.records.emplace_back();
+  rec.spec = "family=random nodes=6 machine=clique:3@1,2,4";
+  rec.engine = "astar";
+  rec.error =
+      "oracle: node 3 placed (1, 2.5) but \"cold\" solve says\n(0, 3)";
+  std::ostringstream csv;
+  write_csv(report, csv);
+  const auto rows = parse_csv(csv.str());
+  ASSERT_EQ(rows.size(), 2u) << csv.str();
+  ASSERT_EQ(rows[1].size(), rows[0].size()) << csv.str();
+  const auto col = std::find(rows[0].begin(), rows[0].end(), "error");
+  ASSERT_NE(col, rows[0].end());
+  EXPECT_EQ(rows[1][static_cast<std::size_t>(col - rows[0].begin())],
+            rec.error);
 }
 
 }  // namespace
