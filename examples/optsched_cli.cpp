@@ -91,6 +91,46 @@ std::string verdict_for(const api::SolveResult& r) {
   return std::string("incumbent only: ") + core::to_string(r.reason);
 }
 
+/// --budget-ms, --max-expansions and --max-memory-mb (0 = unlimited).
+api::SolveLimits limits_from(const util::Cli& cli) {
+  api::SolveLimits limits;
+  limits.time_budget_ms = cli.get_double("budget-ms", 0.0);
+  const std::int64_t max_expansions = cli.get_int("max-expansions", 0);
+  OPTSCHED_REQUIRE(max_expansions >= 0, "--max-expansions must be >= 0");
+  limits.max_expansions = static_cast<std::uint64_t>(max_expansions);
+  const std::int64_t max_memory_mb = cli.get_int("max-memory-mb", 0);
+  OPTSCHED_REQUIRE(max_memory_mb >= 0, "--max-memory-mb must be >= 0");
+  limits.max_memory_bytes =
+      static_cast<std::size_t>(max_memory_mb) * 1024 * 1024;
+  return limits;
+}
+
+/// Write a report to the file that --<flag> names, when it is given.
+template <class Write>
+void write_report(const util::Cli& cli, const char* flag, Write&& write) {
+  if (!cli.has(flag)) return;
+  std::ofstream out(cli.get(flag, ""));
+  OPTSCHED_REQUIRE(out.good(), std::string("cannot write --") + flag +
+                                   " file");
+  write(out);
+  std::printf("wrote %s\n", cli.get(flag, "").c_str());
+}
+
+constexpr const char* kListColumnsHelp =
+    "print the report columns of these counter classes "
+    "(semantic,effort,run), comma-separated, and exit";
+
+/// `--list-columns`: print Record's report columns of those classes.
+template <class Record>
+int print_columns(const util::Cli& cli) {
+  std::vector<util::CounterClass> classes;
+  for (const auto& name : util::split(cli.get("list-columns", ""), ','))
+    classes.push_back(util::parse_counter_class(name));
+  const auto names = util::column_names<Record>(classes);
+  std::printf("%s\n", util::join(names, ",").c_str());
+  return 0;
+}
+
 /// `optsched_cli suite ...` — run a scenario corpus through the workload
 /// suite runner. argv[0] here is the literal "suite".
 int suite_main(int argc, char** argv) {
@@ -119,22 +159,14 @@ int suite_main(int argc, char** argv) {
       .describe("csv", "write the per-run report table to this file")
       .describe("json", "write the full JSON report to this file")
       .describe("progress", "print one line per finished run")
-      .describe("list-columns",
-                "print the report columns of these counter classes "
-                "(semantic,effort,run), comma-separated, and exit");
+      .describe("list-columns", kListColumnsHelp);
   if (cli.maybe_print_help(
           "Run a workload corpus across engines with an oracle"))
     return 0;
   cli.validate();
 
-  if (cli.has("list-columns")) {
-    std::vector<util::CounterClass> classes;
-    for (const auto& name : util::split(cli.get("list-columns", ""), ','))
-      classes.push_back(util::parse_counter_class(name));
-    std::printf("%s\n",
-                util::join(workload::column_names(classes), ",").c_str());
-    return 0;
-  }
+  if (cli.has("list-columns"))
+    return print_columns<workload::SuiteRecord>(cli);
 
   OPTSCHED_REQUIRE(cli.has("corpus"), "suite requires --corpus <file>");
   const auto corpus = workload::load_corpus_file(cli.get("corpus", ""));
@@ -157,14 +189,7 @@ int suite_main(int argc, char** argv) {
       "jobs", std::max(1u, std::thread::hardware_concurrency()));
   OPTSCHED_REQUIRE(jobs >= 1, "--jobs must be >= 1");
   config.jobs = static_cast<unsigned>(jobs);
-  config.limits.time_budget_ms = cli.get_double("budget-ms", 0.0);
-  const std::int64_t max_expansions = cli.get_int("max-expansions", 0);
-  OPTSCHED_REQUIRE(max_expansions >= 0, "--max-expansions must be >= 0");
-  config.limits.max_expansions = static_cast<std::uint64_t>(max_expansions);
-  const std::int64_t max_memory_mb = cli.get_int("max-memory-mb", 0);
-  OPTSCHED_REQUIRE(max_memory_mb >= 0, "--max-memory-mb must be >= 0");
-  config.limits.max_memory_bytes =
-      static_cast<std::size_t>(max_memory_mb) * 1024 * 1024;
+  config.limits = limits_from(cli);
   config.validate_schedules = !cli.get_bool("no-validate");
   config.differential_oracle = !cli.get_bool("no-oracle");
   if (cli.has("via-socket")) {
@@ -192,19 +217,10 @@ int suite_main(int argc, char** argv) {
 
   const workload::SuiteReport report = workload::run_suite(corpus, config);
   std::printf("%s", report.summary().c_str());
-
-  if (cli.has("csv")) {
-    std::ofstream out(cli.get("csv", ""));
-    OPTSCHED_REQUIRE(out.good(), "cannot write --csv file");
-    workload::write_csv(report, out);
-    std::printf("wrote %s\n", cli.get("csv", "").c_str());
-  }
-  if (cli.has("json")) {
-    std::ofstream out(cli.get("json", ""));
-    OPTSCHED_REQUIRE(out.good(), "cannot write --json file");
-    workload::write_json(report, out);
-    std::printf("wrote %s\n", cli.get("json", "").c_str());
-  }
+  write_report(cli, "csv",
+               [&](std::ostream& out) { workload::write_csv(report, out); });
+  write_report(cli, "json",
+               [&](std::ostream& out) { workload::write_json(report, out); });
   return report.ok() ? 0 : 1;
 }
 
@@ -224,11 +240,15 @@ int resolve_main(int argc, char** argv) {
                 "per-solve expansion budget (default unlimited)")
       .describe("csv", "write the per-step report table to this file")
       .describe("json", "write the full JSON report to this file")
-      .describe("progress", "print one line per finished step");
+      .describe("progress", "print one line per finished step")
+      .describe("list-columns", kListColumnsHelp);
   if (cli.maybe_print_help(
           "Warm-start re-solve under churn, with a warm-vs-cold oracle"))
     return 0;
   cli.validate();
+
+  if (cli.has("list-columns"))
+    return print_columns<workload::ChurnRecord>(cli);
 
   std::vector<workload::ChurnCase> corpus;
   if (cli.has("corpus")) {
@@ -250,10 +270,7 @@ int resolve_main(int argc, char** argv) {
 
   workload::ChurnConfig config;
   config.engine = cli.get("engine", "astar");
-  config.limits.time_budget_ms = cli.get_double("budget-ms", 0.0);
-  const std::int64_t max_expansions = cli.get_int("max-expansions", 0);
-  OPTSCHED_REQUIRE(max_expansions >= 0, "--max-expansions must be >= 0");
-  config.limits.max_expansions = static_cast<std::uint64_t>(max_expansions);
+  config.limits = limits_from(cli);
   if (cli.get_bool("progress"))
     config.on_record = [](const workload::ChurnRecord& rec) {
       std::fprintf(stderr,
@@ -261,27 +278,20 @@ int resolve_main(int argc, char** argv) {
                    "expanded %llu vs %llu (%.1f%% skipped)%s\n",
                    rec.case_index, rec.step, rec.warm_makespan,
                    rec.cold_makespan,
-                   static_cast<unsigned long long>(rec.warm_expanded),
-                   static_cast<unsigned long long>(rec.cold_expanded),
+                   static_cast<unsigned long long>(rec.warm.search.expanded),
+                   static_cast<unsigned long long>(rec.cold.search.expanded),
                    rec.search_skipped_pct,
                    rec.oracle_ok ? "" : " MISMATCH");
     };
 
   const workload::ChurnReport report = workload::run_churn(corpus, config);
   std::printf("%s", report.summary().c_str());
-
-  if (cli.has("csv")) {
-    std::ofstream out(cli.get("csv", ""));
-    OPTSCHED_REQUIRE(out.good(), "cannot write --csv file");
+  write_report(cli, "csv", [&](std::ostream& out) {
     workload::write_churn_csv(report, out);
-    std::printf("wrote %s\n", cli.get("csv", "").c_str());
-  }
-  if (cli.has("json")) {
-    std::ofstream out(cli.get("json", ""));
-    OPTSCHED_REQUIRE(out.good(), "cannot write --json file");
+  });
+  write_report(cli, "json", [&](std::ostream& out) {
     workload::write_churn_json(report, out);
-    std::printf("wrote %s\n", cli.get("json", "").c_str());
-  }
+  });
   return report.ok() ? 0 : 1;
 }
 
@@ -387,14 +397,7 @@ int submit_main(int argc, char** argv) {
 
   server::SolveCommand base;
   base.engine = cli.get("engine", "astar");
-  base.limits.time_budget_ms = cli.get_double("budget-ms", 0.0);
-  const std::int64_t max_expansions = cli.get_int("max-expansions", 0);
-  OPTSCHED_REQUIRE(max_expansions >= 0, "--max-expansions must be >= 0");
-  base.limits.max_expansions = static_cast<std::uint64_t>(max_expansions);
-  const std::int64_t max_memory_mb = cli.get_int("max-memory-mb", 0);
-  OPTSCHED_REQUIRE(max_memory_mb >= 0, "--max-memory-mb must be >= 0");
-  base.limits.max_memory_bytes =
-      static_cast<std::size_t>(max_memory_mb) * 1024 * 1024;
+  base.limits = limits_from(cli);
   base.no_cache = cli.get_bool("no-cache");
   const bool oracle = cli.get_bool("oracle");
   const double min_hit_rate = cli.get_double("min-hit-rate", 0.0);
@@ -404,72 +407,59 @@ int submit_main(int argc, char** argv) {
   server::Client client(cli.get("socket", ""));
   const auto [engine_name, engine_options] =
       api::parse_engine_spec(base.engine);
-
-  workload::SuiteReport report;
-  std::size_t hits = 0, failures = 0;
-  double queue_wait_total = 0.0;
-
-  for (const auto& spec : corpus) {
-    workload::SuiteRecord& rec = report.records.emplace_back();
-    rec.instance = report.records.size() - 1;
-    rec.spec = spec.to_string();
-    rec.family = spec.family;
-    rec.engine = base.engine;
-    const util::Timer timer;
-    try {
-      const workload::Instance instance = spec.materialize();
-      rec.nodes = instance.graph.num_nodes();
-      rec.edges = instance.graph.num_edges();
-      rec.procs = instance.machine.num_procs();
-      server::SolveCommand command = base;
-      command.spec = instance.name;
-      const server::SolveReply reply = client.solve_raw(command);
-      const api::SolveResult result =
-          server::rebuild_result(instance, reply);
-      rec.take(result);
-      sched::validate(result.schedule);
-      rec.valid = true;
-      if (oracle) {
-        // Cold in-process reference: the daemon's reply — cached or
-        // fresh — must reproduce it bit for bit.
-        api::SolveRequest request(instance.graph, instance.machine,
-                                  instance.comm);
-        request.limits = base.limits;
-        request.options = engine_options;
-        const api::SolveResult cold = api::solve(engine_name, request);
-        if (!bits_equal(result.makespan, cold.makespan))
-          throw util::Error("oracle: makespan " +
-                            util::format_number(result.makespan) +
-                            " != cold " +
-                            util::format_number(cold.makespan));
-        for (dag::NodeId n = 0; n < instance.graph.num_nodes(); ++n) {
-          const auto& got = result.schedule.placement(n);
-          const auto& want = cold.schedule.placement(n);
-          if (got.proc != want.proc || !bits_equal(got.start, want.start) ||
-              !bits_equal(got.finish, want.finish))
-            throw util::Error(
-                "oracle: node " + std::to_string(n) + " placed (" +
-                std::to_string(got.proc) + ", " +
-                util::format_number(got.start) + ") but cold solve says (" +
-                std::to_string(want.proc) + ", " +
-                util::format_number(want.start) + ")");
-        }
-      }
-    } catch (const std::exception& ex) {
-      rec.error = ex.what();
-      ++failures;
+  workload::SuiteConfig config;
+  config.engines = {base.engine};
+  config.jobs = 1;
+  config.limits = base.limits;
+  config.remote_solve = [&](const workload::Instance& instance,
+                            const std::string&, const api::SolveLimits&) {
+    server::SolveCommand command = base;
+    command.spec = instance.name;
+    api::SolveResult result =
+        server::rebuild_result(instance, client.solve_raw(command));
+    if (!oracle) return result;
+    // Cold in-process reference: the daemon's reply — cached or fresh —
+    // must reproduce it bit for bit.
+    api::SolveRequest request(instance.graph, instance.machine,
+                              instance.comm);
+    request.limits = base.limits;
+    request.options = engine_options;
+    const api::SolveResult cold = api::solve(engine_name, request);
+    if (!bits_equal(result.makespan, cold.makespan))
+      throw util::Error("oracle: makespan " +
+                        util::format_number(result.makespan) + " != cold " +
+                        util::format_number(cold.makespan));
+    for (dag::NodeId n = 0; n < instance.graph.num_nodes(); ++n) {
+      const auto& got = result.schedule.placement(n);
+      const auto& want = cold.schedule.placement(n);
+      if (got.proc != want.proc || !bits_equal(got.start, want.start) ||
+          !bits_equal(got.finish, want.finish))
+        throw util::Error(
+            "oracle: node " + std::to_string(n) + " placed (" +
+            std::to_string(got.proc) + ", " +
+            util::format_number(got.start) + ") but cold solve says (" +
+            std::to_string(want.proc) + ", " +
+            util::format_number(want.start) + ")");
     }
-    rec.time_ms = timer.millis();
-    if (rec.stats.cache_hit) ++hits;
-    queue_wait_total += rec.stats.queue_wait_ms;
-    if (cli.get_bool("progress"))
+    return result;
+  };
+  if (cli.get_bool("progress"))
+    config.on_record = [](const workload::SuiteRecord& rec) {
       std::fprintf(stderr, "  [%zu] %s: makespan %.2f (%s)%s%s\n",
                    rec.instance, rec.spec.c_str(), rec.makespan,
                    rec.termination.c_str(),
                    rec.stats.cache_hit ? " [cache]" : "",
                    rec.error.empty() ? "" : " ERROR");
-  }
+    };
+  const workload::SuiteReport report = workload::run_suite(corpus, config);
 
+  std::size_t hits = 0, failures = 0;
+  double queue_wait_total = 0.0;
+  for (const workload::SuiteRecord& rec : report.records) {
+    if (rec.stats.cache_hit) ++hits;
+    if (!rec.error.empty() || !rec.valid) ++failures;
+    queue_wait_total += rec.stats.queue_wait_ms;
+  }
   const std::size_t runs = report.records.size();
   const double hit_rate =
       runs ? static_cast<double>(hits) / static_cast<double>(runs) : 0.0;
@@ -479,14 +469,10 @@ int submit_main(int argc, char** argv) {
               runs ? queue_wait_total / static_cast<double>(runs) : 0.0,
               oracle ? ", oracle: bit-agreement checked" : "");
 
-  if (cli.has("csv")) {
-    std::ofstream out(cli.get("csv", ""));
-    OPTSCHED_REQUIRE(out.good(), "cannot write --csv file");
-    // The suite CSV schema: CI diffs passes after stripping the run-class
-    // columns (`suite --list-columns=run`) by name.
-    workload::write_csv(report, out);
-    std::printf("wrote %s\n", cli.get("csv", "").c_str());
-  }
+  // The suite CSV schema: CI diffs passes after stripping the run-class
+  // columns (`suite --list-columns=run`) by name.
+  write_report(cli, "csv",
+               [&](std::ostream& out) { workload::write_csv(report, out); });
 
   if (failures) return 1;
   if (hit_rate < min_hit_rate) {
@@ -608,11 +594,7 @@ int main(int argc, char** argv) try {
   const std::string engine = cli.get("engine", "astar");
 
   api::SolveRequest request(graph, machine, comm);
-  request.limits.time_budget_ms = cli.get_double("budget-ms", 0.0);
-  const std::int64_t max_expansions = cli.get_int("max-expansions", 0);
-  OPTSCHED_REQUIRE(max_expansions >= 0, "--max-expansions must be >= 0");
-  request.limits.max_expansions =
-      static_cast<std::uint64_t>(max_expansions);
+  request.limits = limits_from(cli);
   request.options = api::parse_options(cli.get("opts", ""));
   if (cli.has("epsilon")) request.options["epsilon"] = cli.get("epsilon", "");
   if (cli.has("ppes")) request.options["ppes"] = cli.get("ppes", "");

@@ -151,8 +151,6 @@ class AStarSolver : public Solver {
     core::SearchConfig config = base_search_config(request);
     config.prune = opt_prune(request.options, name_);
     config.h = opt_h(request.options, name_);
-    config.h_weight =
-        opt_double(request.options, name_, "h-weight", 1.0);
     config.queue = opt_queue(request.options, name_);
     config.epsilon =
         opt_double(request.options, name_, "epsilon", epsilon_default_);
@@ -160,8 +158,6 @@ class AStarSolver : public Solver {
         opt_bool(request.options, name_, "incumbent", true);
     if (config.epsilon < 0)
       throw InvalidRequest("engine '" + name_ + "': epsilon must be >= 0");
-    if (config.h_weight < 1)
-      throw InvalidRequest("engine '" + name_ + "': h-weight must be >= 1");
     std::optional<core::SearchProblem> storage;
     const core::SearchProblem& problem = request_problem(request, storage);
     SolveResult out =
@@ -242,10 +238,6 @@ class ParallelSolver : public Solver {
         throw InvalidRequest(
             "engine 'parallel': mode=dist supports exact search only "
             "(epsilon must be 0)");
-      if (config.search.h_weight != 1.0)
-        throw InvalidRequest(
-            "engine 'parallel': mode=dist supports exact search only "
-            "(weight must be 1)");
       if (config.naive_termination)
         throw InvalidRequest(
             "engine 'parallel': mode=dist always uses sound termination "
@@ -384,7 +376,6 @@ class HeuristicSolver : public Solver {
 
 const std::vector<OptionSpec> kAStarOptions = {
     {"h", "heuristic function: zero|paper|path|composite"},
-    {"h-weight", "weighted A* factor (>= 1; solution within that factor)"},
     {"prune", "pruning preset: all|none|paper"},
     {"incumbent", "anytime incumbent updates: 0|1 (default 1)"},
     {"queue", "OPEN list: auto|bucket|heap (default auto — bucket when the "
@@ -405,7 +396,7 @@ void register_builtin_engines(SolverRegistry& registry) {
   registry.add(
       {"astar",
        "serial A* (paper Sec. 3.1/3.2) — optimal, all prunings by default",
-       {.optimal = true, .anytime = true, .parallel = false, .bounded = true,
+       {.optimal = true, .anytime = true, .parallel = false, .bounded = false,
         .warm_start = true},
        kAStarOptions,
        [] { return std::make_unique<AStarSolver>("astar", 0.0); }});

@@ -158,6 +158,15 @@ struct SolveStats : par::ParallelStats {
     f(Counter{"paths_evaluated", kSum, kEffort}, s.paths_evaluated...);
     f(Counter{"engines_raced", kMax, kEffort}, s.engines_raced...);
   }
+
+  /// Counters and expanded_per_ppe (`mode` is parallel_mode's twin).
+  friend bool operator==(const SolveStats& a, const SolveStats& b) {
+    bool equal = a.expanded_per_ppe == b.expanded_per_ppe;
+    visit([&](const util::Counter&, const auto& x, const auto& y) {
+      equal = equal && util::counter_equal(x, y);
+    }, a, b);
+    return equal;
+  }
 };
 
 /// Unified result: always a valid complete schedule, plus the proof state.
@@ -196,7 +205,7 @@ struct EngineCaps {
   bool optimal = false;   ///< proves optimality when run without limits
   bool anytime = false;   ///< keeps an incumbent; honors limits/cancel
   bool parallel = false;  ///< uses worker threads
-  bool bounded = false;   ///< supports a (1+eps)/weight suboptimality bound
+  bool bounded = false;   ///< supports a (1+eps) suboptimality bound
   /// Consumes SolveRequest::warm (SolveSession re-solve): arena prefix
   /// reuse for the serial searches, seeded incumbent for the parallel
   /// engine. Engines without it degrade to a cold re-solve.

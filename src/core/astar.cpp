@@ -136,14 +136,12 @@ struct SearchDriver {
 struct AStarPolicy {
   explicit AStarPolicy(SearchDriver& driver)
       : d(driver),
-        open(driver.problem, driver.config),
-        exact(driver.config.h_weight == 1.0) {}
+        open(driver.problem, driver.config) {}
 
   SearchDriver& d;
   Frontier open;
   OpenEntry current{};  ///< last popped entry (f drives progress/domination)
   std::size_t max_open = 1;
-  bool exact;
   bool goal_popped = false;
 
   bool keep_searching() const { return !goal_popped; }
@@ -159,13 +157,13 @@ struct AStarPolicy {
 
   StepAction classify(StateIndex idx) {
     // Incumbent domination: current.f is the minimum over OPEN, so nothing
-    // left can strictly beat the incumbent — it is optimal (for exact
-    // search). Paper-fidelity mode keeps the f == U frontier alive so the
-    // goal is popped explicitly, as in the Figure 3 trace.
+    // left can strictly beat the incumbent — it is optimal. Paper-fidelity
+    // mode keeps the f == U frontier alive so the goal is popped
+    // explicitly, as in the Figure 3 trace.
     const bool dominated = d.config.prune.strict_upper_bound
                                ? current.f > d.incumbent_len + 1e-9
                                : current.f >= d.incumbent_len - 1e-9;
-    if (exact && dominated) return StepAction::kStop;
+    if (dominated) return StepAction::kStop;
     if (d.is_goal_depth(d.arena.hot(idx).depth())) return StepAction::kGoal;
     return StepAction::kExpand;
   }
@@ -230,7 +228,7 @@ void seed_frontier(SearchDriver& d, Frontier& open) {
       // Positions the expansion context on i (the guard test below reads
       // its ready list) and re-derives h against the new instance.
       const double h = d.expander.state_h(d.arena, i);
-      if (i > 0) d.arena.patch_h(i, h * d.config.h_weight);
+      if (i > 0) d.arena.patch_h(i, h);
     }
     const std::uint8_t fl = d.warm ? d.flags[i] : 0;
     const bool replayable =
@@ -271,20 +269,13 @@ SearchResult run_astar(SearchDriver& d) {
   AStarPolicy p(d);
   seed_frontier(d, p.open);
 
-  const double bound_factor = std::max(1.0, d.config.h_weight);
-
   if (const auto hit = run_search_loop(d.guard, p))
-    return d.finish(*hit, false, bound_factor, p.max_open, &p.open);
+    return d.finish(*hit, false, 1.0, p.max_open, &p.open);
 
-  if (p.goal_popped)
-    return d.finish(
-        p.exact ? Termination::kOptimal : Termination::kBoundedOptimal, true,
-        p.exact ? 1.0 : bound_factor, p.max_open, &p.open);
-
-  // OPEN exhausted or dominated: every complete schedule not examined was
-  // proven >= the incumbent, so the incumbent is optimal.
-  return d.finish(Termination::kOptimal, p.exact,
-                  p.exact ? 1.0 : bound_factor, p.max_open, &p.open);
+  // A goal popped with minimum f, or OPEN exhausted or dominated (every
+  // complete schedule not examined was proven >= the incumbent): either
+  // way the incumbent is optimal.
+  return d.finish(Termination::kOptimal, true, 1.0, p.max_open, &p.open);
 }
 
 // ---- Aε* (FOCAL) ---------------------------------------------------------
@@ -370,8 +361,7 @@ SearchResult run_focal(SearchDriver& d) {
   FocalPolicy p(d);
   seed_frontier(d, p.open);
 
-  const double bound_factor =
-      (1.0 + p.eps) * std::max(1.0, d.config.h_weight);
+  const double bound_factor = 1.0 + p.eps;
 
   if (const auto hit = run_search_loop(d.guard, p))
     return d.finish(*hit, false, bound_factor, p.max_open, &p.open);
@@ -383,17 +373,14 @@ SearchResult run_focal(SearchDriver& d) {
                     &p.open);
 
   if (p.goal_popped) {
-    const bool is_exact =
-        p.current.f <= p.fmin_at_pop + 1e-9 && d.config.h_weight == 1.0;
+    const bool is_exact = p.current.f <= p.fmin_at_pop + 1e-9;
     return d.finish(is_exact ? Termination::kOptimal
                              : Termination::kBoundedOptimal,
                     true, is_exact ? 1.0 : bound_factor, p.max_open,
                     &p.open);
   }
 
-  return d.finish(Termination::kOptimal, d.config.h_weight == 1.0,
-                  d.config.h_weight == 1.0 ? 1.0 : bound_factor, p.max_open,
-                  &p.open);
+  return d.finish(Termination::kOptimal, true, 1.0, p.max_open, &p.open);
 }
 
 /// Move the previous arena in and compact it to the clean subset: a state
@@ -452,7 +439,6 @@ SearchResult astar_schedule(const SearchProblem& problem,
 SearchResult astar_schedule(const SearchProblem& problem,
                             const SearchConfig& config, WarmStart* warm) {
   OPTSCHED_REQUIRE(config.epsilon >= 0.0, "epsilon must be >= 0");
-  OPTSCHED_REQUIRE(config.h_weight >= 1.0, "h_weight must be >= 1");
   StateArena::require_packable(problem.num_nodes(), problem.num_procs());
   SearchDriver driver(problem, config, warm);
   std::size_t retained = 0;

@@ -160,7 +160,7 @@ SearchResult astar_schedule(const SearchProblem& problem,
 
 /// Warm-started run: `warm` (may be null = cold) is consumed and refilled
 /// as described on WarmStart. Results bit-agree with a cold solve of the
-/// same instance for exact configurations (epsilon 0, h_weight 1).
+/// same instance for exact configurations (epsilon 0).
 SearchResult astar_schedule(const SearchProblem& problem,
                             const SearchConfig& config, WarmStart* warm);
 

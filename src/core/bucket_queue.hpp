@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -270,14 +271,23 @@ struct QueueChoice {
 };
 
 /// Decide heap vs bucket for a best-first engine. Bucket requires: an
-/// exact fixed-point key scale for the instance, h_weight == 1 (a weight
-/// multiplies h off the grid), epsilon == 0 (FOCAL uses its own set; that
-/// reason is reported first), a
-/// finite f bound whose key span fits kMaxBuckets, and — for kComposite —
-/// the W/(p * max_speed) workload atom on the grid. queue=bucket still
-/// falls back on these (soundness is not configurable); queue=heap skips
-/// the checks entirely.
+/// exact fixed-point key scale for the instance, epsilon == 0 (FOCAL uses
+/// its own set; that reason is reported first), a finite f bound whose
+/// key span fits kMaxBuckets, and — for kComposite — the W/(p *
+/// max_speed) workload atom on the grid. queue=bucket still falls back on
+/// these (soundness is not configurable); queue=heap skips the checks
+/// entirely.
 QueueChoice choose_queue(const SearchProblem& problem,
                          const SearchConfig& config);
+
+/// The static label equal to `text` in the closed set SearchStats's
+/// queue_kind and queue_fallback hold (Frontier::queue_kind,
+/// choose_queue, KeyScale::reason), or nullptr.
+inline const char* find_queue_label(std::string_view text) {
+  for (const char* label : {"", "bucket", "heap", "focal", "granularity",
+                            "bound-off-grid", "span"})
+    if (text == label) return label;
+  return nullptr;
+}
 
 }  // namespace optsched::core

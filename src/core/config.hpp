@@ -53,9 +53,9 @@ struct PruneConfig {
 /// OPEN list implementation for best-first engines. kAuto picks the
 /// bucketed queue whenever the instance's fixed-point key scale certifies
 /// it (core/key_scale.hpp) and the configuration is exact best-first
-/// (h_weight 1, epsilon 0, upper-bound pruning on); otherwise the 4-ary
-/// heap. kBucket *requests* buckets but still falls back — soundness is
-/// never configurable — with the reason reported in SearchStats.
+/// (epsilon 0, upper-bound pruning on); otherwise the 4-ary heap. kBucket
+/// *requests* buckets but still falls back — soundness is never
+/// configurable — with the reason reported in SearchStats.
 enum class QueueSelect : std::uint8_t { kAuto, kBucket, kHeap };
 
 const char* to_string(QueueSelect q);
@@ -67,10 +67,6 @@ struct SearchConfig {
   /// OPEN list selection (see QueueSelect). Pop order is identical either
   /// way, so results are bit-identical; this is purely a speed knob.
   QueueSelect queue = QueueSelect::kAuto;
-
-  /// Weighted A*: child f = g + h_weight * h. 1.0 = optimal A*; w > 1
-  /// returns a solution within factor w of optimal, faster (extension).
-  double h_weight = 1.0;
 
   /// Aε* (paper §3.4): when > 0, expand from the FOCAL list
   /// {s : f(s) <= (1+epsilon) * min f} choosing the smallest h; the
@@ -107,7 +103,7 @@ struct SearchConfig {
 
 enum class Termination : std::uint8_t {
   kOptimal,          ///< goal popped with minimum f (or OPEN exhausted)
-  kBoundedOptimal,   ///< Aε*/weighted A* goal within the configured factor
+  kBoundedOptimal,   ///< Aε* goal within the configured factor
   kExpansionLimit,
   kTimeLimit,
   kMemoryLimit,      ///< SearchConfig::max_memory_bytes reached

@@ -266,8 +266,7 @@ bool Expander::evaluate_child(const util::Key128& parent_sig, NodeId node,
   ctx_.depth_ += 1;
 
   const double h =
-      evaluate_h(config_.h, *problem_, ctx_.view(), h_scratch_.data()) *
-      config_.h_weight;
+      evaluate_h(config_.h, *problem_, ctx_.view(), h_scratch_.data());
 
   // Restore the context before any early return.
   ctx_.finish_[node] = 0.0;
@@ -295,11 +294,6 @@ bool Expander::evaluate_child(const util::Key128& parent_sig, NodeId node,
 double Expander::state_h(const StateArena& arena, StateIndex index) {
   ctx_.move_to(arena, index);
   return evaluate_h(config_.h, *problem_, ctx_.view(), h_scratch_.data());
-}
-
-void Expander::repatch_h(StateArena& arena) {
-  for (StateIndex i = 1; i < arena.size(); ++i)
-    arena.patch_h(i, state_h(arena, i) * config_.h_weight);
 }
 
 sched::Schedule reconstruct_schedule(const SearchProblem& problem,

@@ -231,20 +231,11 @@ class Expander {
   }
   void invalidate_context() noexcept { ctx_.invalidate(); }
 
-  /// Unweighted h of arena[index] under *this* problem (loads the context).
+  /// h of arena[index] under *this* problem (loads the context).
   /// Used by the warm-start path: for the root it is the instance's global
   /// lower bound (the instant-proof test), and generally it re-derives the
   /// value a cold search would have stored.
   double state_h(const StateArena& arena, StateIndex index);
-
-  /// Recompute h (times the configured weight) for arena indices
-  /// [1, arena.size()) and patch the stored f values. The root (index 0)
-  /// keeps h = 0, matching make_root(). Warm-start retention calls this
-  /// after truncating the arena to the clean prefix: the retained g values
-  /// replay identically under the new instance, but h was computed against
-  /// the old one and a stale (possibly inadmissible) f would break the
-  /// optimality proof when the delta lowered costs.
-  void repatch_h(StateArena& arena);
 
  private:
   /// A successor that survived upper-bound pruning, waiting for its

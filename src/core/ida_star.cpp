@@ -165,9 +165,6 @@ SearchResult ida_star_schedule(const SearchProblem& problem,
   OPTSCHED_REQUIRE(config.epsilon == 0.0,
                    "invalid argument: IDA* is exact-only and does not "
                    "support epsilon > 0 (use A* with epsilon, engine 'aeps')");
-  OPTSCHED_REQUIRE(config.h_weight == 1.0,
-                   "invalid argument: IDA* is exact-only and does not "
-                   "support h_weight != 1 (use weighted A*)");
   StateArena::require_packable(problem.num_nodes(), problem.num_procs());
 
   // DFS probes do not deduplicate: a CLOSED set would reintroduce the

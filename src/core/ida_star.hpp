@@ -15,9 +15,9 @@ namespace optsched::core {
 
 /// Optimal schedule via IDA*. Honors config.prune, config.h,
 /// config.max_expansions (counted across probes), config.time_budget_ms,
-/// and config.controls (cancellation + progress); epsilon and h_weight
-/// must be at their defaults — anything else throws util::Error (the
-/// unified API rejects such requests up front, see api/registry.hpp).
+/// and config.controls (cancellation + progress); epsilon must be 0 —
+/// anything else throws util::Error (the unified API rejects such
+/// requests up front, see api/registry.hpp).
 SearchResult ida_star_schedule(const SearchProblem& problem,
                                const SearchConfig& config = {});
 

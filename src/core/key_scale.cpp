@@ -110,10 +110,6 @@ QueueChoice choose_queue(const SearchProblem& problem,
     choice.fallback = ks.reason;
     return choice;
   }
-  if (config.h_weight != 1.0) {
-    choice.fallback = "weighted";
-    return choice;
-  }
   if (config.h == HFunction::kComposite) {
     // h_load's workload bound W/(p * max_speed) can surface as an exact f
     // (f = g + (bound - g) = bound); it divides by p, so it needs its own

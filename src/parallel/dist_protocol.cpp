@@ -1,6 +1,5 @@
 #include "parallel/dist_protocol.hpp"
 
-#include <cmath>
 #include <type_traits>
 
 namespace optsched::par {
@@ -8,13 +7,6 @@ namespace optsched::par {
 using util::Json;
 
 namespace {
-
-std::uint32_t as_u32(const Json& j, const char* what) {
-  const double v = j.as_number();
-  OPTSCHED_REQUIRE(v >= 0 && v == std::floor(v) && v <= 0xffffffffu,
-                   std::string(what) + " must be a non-negative integer");
-  return static_cast<std::uint32_t>(v);
-}
 
 /// Write every mergeable (numeric) counter of `s` into the JSON object
 /// `out`, keyed by its report name.
@@ -34,11 +26,11 @@ void counters_from_json(const Json& in, S& s) {
     using T = std::decay_t<decltype(v)>;
     if constexpr (std::is_arithmetic_v<T>) {
       if (c.merge == util::Merge::kNone) return;
-      in.at(c.name);
+      const Json& j = in.at(c.name);
       if constexpr (std::is_floating_point_v<T>)
-        v = in.get_number(c.name, 0.0);
+        v = j.as_number();
       else
-        v = static_cast<T>(in.get_u64(c.name, 0));
+        v = j.as_count<T>(c.name);
     }
   }, s);
 }
@@ -65,7 +57,8 @@ dag::TaskGraph graph_from_json(const Json& j) {
   for (const auto& e : j.at("e").as_array()) {
     const auto& triple = e.as_array();
     OPTSCHED_REQUIRE(triple.size() == 3, "edge must be [src, dst, cost]");
-    graph.add_edge(as_u32(triple[0], "edge src"), as_u32(triple[1], "edge dst"),
+    graph.add_edge(triple[0].as_count<dag::NodeId>("edge src"),
+                   triple[1].as_count<dag::NodeId>("edge dst"),
                    triple[2].as_number());
   }
   graph.finalize();
@@ -93,7 +86,7 @@ machine::Machine machine_from_json(const Json& j) {
   for (const auto& row : j.at("adj").as_array()) {
     std::vector<machine::ProcId> neighbors;
     for (const auto& q : row.as_array())
-      neighbors.push_back(static_cast<machine::ProcId>(as_u32(q, "neighbor")));
+      neighbors.push_back(q.as_count<machine::ProcId>("neighbor"));
     adjacency.push_back(std::move(neighbors));
   }
   std::vector<double> speeds;
@@ -114,7 +107,6 @@ Json search_config_to_json(const core::SearchConfig& config) {
   out["prune"] = std::move(prune);
   out["h"] = static_cast<int>(config.h);
   out["queue"] = static_cast<int>(config.queue);
-  out["hw"] = config.h_weight;
   out["eps"] = config.epsilon;
   return out;
 }
@@ -127,15 +119,14 @@ core::SearchConfig search_config_from_json(const Json& j) {
   config.prune.upper_bound = prune.at("ub").as_bool();
   config.prune.duplicate_detection = prune.at("dup").as_bool();
   config.prune.strict_upper_bound = prune.at("strict").as_bool();
-  const std::uint32_t h = as_u32(j.at("h"), "h function");
+  const std::uint32_t h = j.at("h").as_count<std::uint32_t>("h function");
   OPTSCHED_REQUIRE(h <= static_cast<std::uint32_t>(core::HFunction::kComposite),
                    "unknown h function code");
   config.h = static_cast<core::HFunction>(h);
-  const std::uint32_t queue = as_u32(j.at("queue"), "queue select");
+  const auto queue = j.at("queue").as_count<std::uint32_t>("queue select");
   OPTSCHED_REQUIRE(queue <= static_cast<std::uint32_t>(core::QueueSelect::kHeap),
                    "unknown queue select code");
   config.queue = static_cast<core::QueueSelect>(queue);
-  config.h_weight = j.at("hw").as_number();
   config.epsilon = j.at("eps").as_number();
   return config;
 }
@@ -154,8 +145,8 @@ std::vector<std::pair<dag::NodeId, machine::ProcId>> assignments_from_json(
   for (const auto& pair : j.as_array()) {
     const auto& np = pair.as_array();
     OPTSCHED_REQUIRE(np.size() == 2, "assignment must be [node, proc]");
-    seq.emplace_back(as_u32(np[0], "node"),
-                     static_cast<machine::ProcId>(as_u32(np[1], "proc")));
+    seq.emplace_back(np[0].as_count<dag::NodeId>("node"),
+                     np[1].as_count<machine::ProcId>("proc"));
   }
   return seq;
 }

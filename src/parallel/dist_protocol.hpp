@@ -83,7 +83,7 @@ util::Json machine_to_json(const machine::Machine& machine);
 machine::Machine machine_from_json(const util::Json& j);
 
 /// The search-shaping subset of SearchConfig: prune flags, h, queue,
-/// h_weight, epsilon. Limits and controls stay coordinator-side.
+/// epsilon. Limits and controls stay coordinator-side.
 util::Json search_config_to_json(const core::SearchConfig& config);
 core::SearchConfig search_config_from_json(const util::Json& j);
 

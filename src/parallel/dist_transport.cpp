@@ -224,6 +224,7 @@ class DistWorker {
   }
 
   void after_expand() {
+    max_open_ = std::max(max_open_, open_->size());
     const std::uint64_t n = expander_->stats().expanded;
     if (n % kStatusPeriod == 0) send_status(/*idle=*/false);
     pump_writes();
@@ -330,6 +331,7 @@ class DistWorker {
     if (owner_->owner(0) == rank_) {
       seen_.insert(root.sig);
       open_->push({arena_.hot(root_idx).f, 0.0, 0.0, root_idx});
+      max_open_ = open_->size();  // the root counts, as in serial A*
     }
   }
 
@@ -460,7 +462,6 @@ class DistWorker {
     // coordinator from its poll loop.
     if (idle && last_status_idle_ == 1 && last_status_rcvd_ == rcvd_batches_)
       return;
-    max_open_ = std::max(max_open_, open_->size());
     wire::StatusMsg s;
     s.idle = idle;
     s.rcvd = rcvd_batches_;
@@ -1046,10 +1047,8 @@ __attribute__((constructor)) void dist_worker_entry() {
 
 ParallelResult dist_astar_schedule(const SearchProblem& problem,
                                    const ParallelConfig& config) {
-  OPTSCHED_REQUIRE(config.search.epsilon == 0.0 &&
-                       config.search.h_weight == 1.0,
-                   "mode=dist supports exact search only "
-                   "(epsilon = 0, h_weight = 1)");
+  OPTSCHED_REQUIRE(config.search.epsilon == 0.0,
+                   "mode=dist supports exact search only (epsilon = 0)");
   OPTSCHED_REQUIRE(!config.naive_termination,
                    "mode=dist always uses sound termination");
   DistCoordinator coordinator(problem, config);

@@ -25,7 +25,7 @@
 // the test binaries and the bench drivers can all act as workers without
 // any per-binary wiring.
 //
-// Only exact search is supported (epsilon == 0, h_weight == 1): the
+// Only exact search is supported (epsilon == 0): the
 // FOCAL selection rule is frontier-global and does not survive
 // hash-partitioning the frontier. parallel_astar_schedule enforces this
 // before dispatching here. See DESIGN.md §10.

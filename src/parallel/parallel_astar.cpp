@@ -467,7 +467,6 @@ std::uint32_t measure_effective_ppes(const SearchProblem& problem,
 ParallelResult parallel_astar_schedule(const SearchProblem& problem,
                                        const ParallelConfig& config) {
   OPTSCHED_REQUIRE(config.num_ppes >= 1, "need at least one PPE");
-  OPTSCHED_REQUIRE(config.search.h_weight >= 1.0, "h_weight must be >= 1");
   OPTSCHED_REQUIRE(config.search.epsilon >= 0.0, "epsilon must be >= 0");
   OPTSCHED_REQUIRE(config.steal_batch >= 1, "steal_batch must be >= 1");
   // The shard table is allocated eagerly, before any memory budget can
@@ -541,12 +540,10 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
     out.result.proved_optimal = false;
     out.result.bound_factor = kInf;
   } else {
-    const bool exact = eps == 0.0 && config.search.h_weight == 1.0;
     out.result.proved_optimal = true;
-    out.result.bound_factor =
-        exact ? 1.0 : (1.0 + eps) * std::max(1.0, config.search.h_weight);
-    out.result.reason = exact ? core::Termination::kOptimal
-                              : core::Termination::kBoundedOptimal;
+    out.result.bound_factor = 1.0 + eps;
+    out.result.reason = eps == 0.0 ? core::Termination::kOptimal
+                                   : core::Termination::kBoundedOptimal;
   }
 
   for (const auto& ppe : ppes) {

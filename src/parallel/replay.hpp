@@ -113,7 +113,6 @@ class Importer {
         ctx_(problem),
         scratch_(2 * std::size_t{problem.num_nodes()}, 0.0),
         h_(config.h),
-        h_weight_(config.h_weight),
         slots_(16, 0) {}
 
   /// Phase 1: replay `msg` into scratch only and return its last step
@@ -202,8 +201,7 @@ class Importer {
     // delta replay.
     ctx_.move_to(arena_, idx);
     const double h =
-        core::evaluate_h(h_, ctx_.problem(), ctx_.view(), scratch_.data()) *
-        h_weight_;
+        core::evaluate_h(h_, ctx_.problem(), ctx_.view(), scratch_.data());
     arena_.patch_h(idx, h);  // so re-sharing this state sends the right f
     const double g = last_.g;
     OPTSCHED_ASSERT(std::abs((g + h) - msg.f) < 1e-6);
@@ -262,7 +260,6 @@ class Importer {
   core::ExpansionContext ctx_;
   std::vector<double> scratch_;  ///< h-evaluation scratch
   core::HFunction h_;
-  double h_weight_;
   std::vector<std::uint64_t> slots_;  ///< imported states, see find()
   std::size_t indexed_ = 0;
   /// Sequence and arena indices (one per depth) of the last attached chain.

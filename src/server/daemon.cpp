@@ -22,9 +22,7 @@ SolveOutcome make_outcome(const std::string& canonical_spec,
   outcome.proved_optimal = result.proved_optimal;
   outcome.bound_factor = result.bound_factor;
   outcome.termination = core::to_string(result.reason);
-  outcome.expanded = result.stats.search.expanded;
-  outcome.generated = result.stats.search.generated;
-  outcome.peak_memory_bytes = result.stats.search.peak_memory_bytes;
+  outcome.stats = result.stats;
   const auto& schedule = result.schedule;
   const std::size_t nodes = schedule.graph().num_nodes();
   outcome.schedule.reserve(nodes);
@@ -242,14 +240,10 @@ std::string Daemon::handle_solve(const SolveCommand& command) {
     request.options = engine_options;
     const api::SolveResult result = api::solve(engine_name, request);
 
-    SolveOutcome outcome =
-        make_outcome(canonical_spec, canonical_engine, result);
-    if (!command.no_cache && cacheable(engine_name, result))
-      cache_.insert(key, outcome);
-
     SolveReply reply;
-    reply.outcome = std::move(outcome);
-    reply.cache_hit = false;
+    reply.outcome = make_outcome(canonical_spec, canonical_engine, result);
+    if (!command.no_cache && cacheable(engine_name, result))
+      cache_.insert(key, reply.outcome);
     const CacheStats cache_stats = cache_.stats();
     reply.cache_lookups = cache_stats.lookups;
     reply.cache_bytes = cache_stats.bytes;

@@ -1,7 +1,12 @@
 #include "server/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
+
+#include "core/bucket_queue.hpp"
+#include "util/strings.hpp"
 
 namespace optsched::server {
 
@@ -42,6 +47,59 @@ api::SolveLimits limits_from_json(const Json& frame) {
   return limits;
 }
 
+/// Every counter off its default as space-separated `name=value` fields:
+/// one JSON string costs about half as much to build and parse as a
+/// 15-member object, and every request pays both.
+std::string stats_to_text(const api::SolveStats& stats) {
+  static const api::SolveStats kDefaults{};
+  std::string out;
+  api::SolveStats::visit(
+      [&](const util::Counter& c, const auto& v, const auto& d) {
+        if (util::counter_equal(v, d)) return;
+        ((out += out.empty() ? "" : " ") += c.name) += '=';
+        out += util::counter_text(v);
+      },
+      stats, kDefaults);
+  return out;
+}
+
+/// Inverse of stats_to_text: an absent counter keeps its default; an
+/// unknown name or queue label, or a malformed value, is rejected.
+api::SolveStats stats_from_text(std::string_view text) {
+  api::SolveStats stats;
+  while (!text.empty()) {
+    const std::string_view field = text.substr(0, text.find(' '));
+    text.remove_prefix(std::min(text.size(), field.size() + 1));
+    const std::size_t eq = field.find('=');
+    OPTSCHED_REQUIRE(eq != std::string_view::npos && eq > 0,
+                     "malformed stats field " + std::string(field));
+    const std::string_view name = field.substr(0, eq);
+    const std::string_view value = field.substr(eq + 1);
+    bool known = false;
+    api::SolveStats::visit([&](const util::Counter& c, auto& v) {
+      using T = std::decay_t<decltype(v)>;
+      // Most names differ in their first letter: test it before a strcmp.
+      if (known || name[0] != c.name[0] || name != c.name) return;
+      known = true;
+      if constexpr (std::is_same_v<T, const char*>) {
+        v = core::find_queue_label(value);  // outlives `text`
+        OPTSCHED_REQUIRE(v, "unknown " + std::string(field));
+      } else if constexpr (std::is_same_v<T, std::string>) {
+        v = value;
+      } else if constexpr (std::is_floating_point_v<T>) {
+        v = Json::parse(value).as_number();
+      } else {
+        const std::uint64_t x = util::parse_u64(value, name);
+        OPTSCHED_REQUIRE(x <= std::numeric_limits<T>::max(),  // bools: 0, 1
+                         "stats counter out of range: " + std::string(field));
+        v = static_cast<T>(x);
+      }
+    }, stats);
+    OPTSCHED_REQUIRE(known, "unknown stats counter " + std::string(field));
+  }
+  return stats;
+}
+
 Json outcome_to_json(const SolveOutcome& outcome) {
   Json out;
   out["spec"] = outcome.spec;
@@ -56,9 +114,7 @@ Json outcome_to_json(const SolveOutcome& outcome) {
   else
     out["bound_factor"] = Json();
   out["termination"] = outcome.termination;
-  out["expanded"] = outcome.expanded;
-  out["generated"] = outcome.generated;
-  out["peak_memory_bytes"] = outcome.peak_memory_bytes;
+  out["stats"] = stats_to_text(outcome.stats);
   Json schedule{Json::Array{}};
   for (const auto& p : outcome.schedule)
     schedule.push_back(Json(Json::Array{Json(p.node), Json(p.proc),
@@ -79,21 +135,14 @@ SolveOutcome outcome_from_json(const Json& frame) {
                              ? std::numeric_limits<double>::infinity()
                              : frame.at("bound_factor").as_number();
   outcome.termination = frame.at("termination").as_string();
-  outcome.expanded = frame.get_u64("expanded", 0);
-  outcome.generated = frame.get_u64("generated", 0);
-  outcome.peak_memory_bytes = frame.get_u64("peak_memory_bytes", 0);
+  outcome.stats = stats_from_text(frame.at("stats").as_string());
   for (const auto& entry : frame.at("schedule").as_array()) {
     const auto& quad = entry.as_array();
     OPTSCHED_REQUIRE(quad.size() == 4,
                      "schedule entries must be [node,proc,start,finish]");
     WirePlacement p;
-    const double node = quad[0].as_number();
-    const double proc = quad[1].as_number();
-    OPTSCHED_REQUIRE(node >= 0 && node == std::floor(node) && proc >= 0 &&
-                         proc == std::floor(proc),
-                     "schedule node/proc must be non-negative integers");
-    p.node = static_cast<std::uint32_t>(node);
-    p.proc = static_cast<std::uint32_t>(proc);
+    p.node = quad[0].as_count<std::uint32_t>("schedule node");
+    p.proc = quad[1].as_count<std::uint32_t>("schedule proc");
     p.start = quad[2].as_number();
     p.finish = quad[3].as_number();
     outcome.schedule.push_back(p);

@@ -10,8 +10,12 @@
 //            {"verb":"status"}        {"verb":"shutdown"}
 //   reply    {"ok":true,"verb":"solve","cache_hit":true,...,
 //             "result":{"spec":...,"engine_spec":...,"makespan":...,
+//                       "stats":"queue_kind=bucket expanded=123 ...",
 //                       "schedule":[[node,proc,start,finish],...],...}}
 //            {"ok":false,"error":"overloaded","message":"..."}
+//
+// `stats` holds "name=value" for every counter off its default
+// (api::SolveStats::visit); an unknown name is a kBadRequest.
 //
 // Doubles cross the wire in shortest-exact form (util::Json dumps via
 // util::format_number), so a schedule read back from a frame is
@@ -109,9 +113,8 @@ struct SolveOutcome {
   bool proved_optimal = false;
   double bound_factor = 1.0;
   std::string termination;  ///< core::to_string(Termination)
-  std::uint64_t expanded = 0;
-  std::uint64_t generated = 0;
-  std::size_t peak_memory_bytes = 0;
+  /// The engine's counters; the serving-layer ones are SolveReply's.
+  api::SolveStats stats;
   std::vector<WirePlacement> schedule;  ///< sorted by node id
 
   friend bool operator==(const SolveOutcome&, const SolveOutcome&) = default;

@@ -41,7 +41,7 @@ class ResultCache {
     return canonical_spec + '\n' + canonical_engine_spec;
   }
 
-  /// Accounted size of one entry (key + payload strings + placements).
+  /// Accounted size of one entry (key, strings, stats, placements).
   static std::size_t entry_bytes(const std::string& key,
                                  const SolveOutcome& outcome);
 

@@ -8,16 +8,20 @@
 //
 // for each counter, in report order, over any number of same-typed
 // objects. Merging, the suite CSV/JSON schema and its aggregates, the
-// CLI stats block, the dist `bye` frame and `--list-columns` all iterate
-// that one table, so adding a counter is the line that counts it plus
-// one visitor line (DESIGN.md §12).
+// churn report, the CLI stats block, the daemon's solve reply, the dist
+// `bye` frame and `--list-columns` all iterate that one table, so adding
+// a counter is the line that counts it plus one visitor line (DESIGN.md
+// §12).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "util/strings.hpp"
 
@@ -88,6 +92,15 @@ void merge_counters(S& into, const S& from) {
   }, into, from);
 }
 
+/// Whether two values of one counter are equal; labels compare by text.
+template <class T>
+bool counter_equal(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, const char*>)
+    return std::string_view(a) == b;
+  else
+    return a == b;
+}
+
 /// Report text of a counter value: integers in decimal, bools as 0/1,
 /// doubles in shortest round-trip form, strings verbatim.
 template <class T>
@@ -115,6 +128,46 @@ std::string counter_json(const T& v) {
   } else {
     return '"' + json_escape(std::string(v)) + '"';
   }
+}
+
+// A report record R (workload::SuiteRecord, ChurnRecord) has a
+// `visit_columns(f)` calling f(prefix, Counter, value) per column, in
+// schema order; the column's name is prefix + Counter::name.
+
+/// The columns of R whose class is in `classes`, in schema order.
+template <class R>
+std::vector<std::string> column_names(
+    const std::vector<CounterClass>& classes) {
+  std::vector<std::string> names;
+  R{}.visit_columns([&](const char* prefix, const Counter& c, const auto&) {
+    if (std::find(classes.begin(), classes.end(), c.cls) != classes.end())
+      names.push_back(prefix + std::string(c.name));
+  });
+  return names;
+}
+
+/// One CSV header row, then one row per record.
+template <class R>
+void write_records_csv(const std::vector<R>& records, std::ostream& out) {
+  using enum CounterClass;
+  out << join(column_names<R>({kSemantic, kEffort, kRun}), ",") << '\n';
+  for (const R& r : records) {
+    const char* sep = "";
+    r.visit_columns([&](const char*, const Counter&, const auto& v) {
+      out << std::exchange(sep, ",") << csv_escape(counter_text(v));
+    });
+    out << '\n';
+  }
+}
+
+/// A record's columns as the members of a JSON object (no braces).
+template <class R>
+void write_record_json(const R& r, std::ostream& out) {
+  const char* sep = "";
+  r.visit_columns([&](const char* prefix, const Counter& c, const auto& v) {
+    out << std::exchange(sep, ", ") << '"' << prefix << c.name
+        << "\": " << counter_json(v);
+  });
 }
 
 }  // namespace optsched::util

@@ -406,10 +406,7 @@ bool Json::get_bool(const std::string& key, bool fallback) const {
 std::uint64_t Json::get_u64(const std::string& key,
                             std::uint64_t fallback) const {
   if (!has(key)) return fallback;
-  const double v = at(key).as_number();
-  OPTSCHED_REQUIRE(v >= 0 && v == std::floor(v),
-                   "JSON: field '" + key + "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(v);
+  return at(key).as_count<std::uint64_t>(key);
 }
 
 void Json::push_back(Json value) {

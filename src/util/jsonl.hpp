@@ -22,7 +22,9 @@
 // — and no duplicate-key detection (last wins).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -81,6 +83,16 @@ class Json {
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
+  /// A non-negative integer that T holds (JSON numbers are doubles);
+  /// throws util::Error naming `what` otherwise.
+  template <class T>
+  T as_count(std::string_view what) const {
+    const double x = as_number();
+    OPTSCHED_REQUIRE(x >= 0 && x == std::floor(x) &&
+                         x < std::ldexp(1.0, std::numeric_limits<T>::digits),
+                     std::string(what) + " must be a non-negative integer");
+    return static_cast<T>(x);
+  }
 
   // Object helpers (throw util::Error when *this is not an object).
   bool has(const std::string& key) const;

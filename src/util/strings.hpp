@@ -144,6 +144,14 @@ inline std::string json_number(double v) {
   return std::isfinite(v) ? format_number(v) : "null";
 }
 
+/// A JSON array of strings: ["a", "b"].
+inline std::string json_string_array(const std::vector<std::string>& items) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < items.size(); ++i)
+    out += (i ? ", \"" : "\"") + json_escape(items[i]) + '"';
+  return out + "]";
+}
+
 /// Join with a separator: join({"a","b"}, ",") == "a,b".
 inline std::string join(const std::vector<std::string>& parts,
                         std::string_view sep) {

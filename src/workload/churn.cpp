@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "api/session.hpp"
+#include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 #include "workload/corpus.hpp"
@@ -154,7 +155,6 @@ ChurnReport run_churn(const std::vector<ChurnCase>& corpus,
 
       ChurnRecord first;
       first.case_index = case_index;
-      first.step = 0;
       first.spec = instance.name;
       {
         api::SolveRequest request(instance.graph, instance.machine,
@@ -166,8 +166,7 @@ ChurnReport run_churn(const std::vector<ChurnCase>& corpus,
         first.warm_time_ms = first.cold_time_ms = timer.millis();
         first.warm_makespan = first.cold_makespan = cold.makespan;
         first.warm_proved = first.cold_proved = cold.proved_optimal;
-        first.warm_expanded = first.cold_expanded =
-            cold.stats.search.expanded;
+        first.warm = first.cold = cold.stats;
       }
       report.records.push_back(first);
       if (config.on_record) config.on_record(report.records.back());
@@ -200,12 +199,10 @@ ChurnReport run_churn(const std::vector<ChurnCase>& corpus,
         rec.cold_makespan = cold.makespan;
         rec.warm_proved = warm.proved_optimal;
         rec.cold_proved = cold.proved_optimal;
-        rec.warm_expanded = warm.stats.search.expanded;
-        rec.cold_expanded = cold.stats.search.expanded;
-        rec.warm_start_used = warm.stats.warm_start_used;
-        rec.states_retained = warm.stats.states_retained;
+        rec.warm = warm.stats;
+        rec.cold = cold.stats;
         rec.search_skipped_pct =
-            skip_pct(rec.warm_expanded, rec.cold_expanded);
+            skip_pct(warm.stats.search.expanded, cold.stats.search.expanded);
 
         std::string why;
         rec.oracle_ok =
@@ -228,27 +225,23 @@ ChurnReport run_churn(const std::vector<ChurnCase>& corpus,
   // longest chain; cases with shorter chains simply stop contributing.
   std::size_t max_step = 0;
   for (const auto& r : report.records) max_step = std::max(max_step, r.step);
+  const auto mean = [](const util::Accumulator& a) {
+    return a.sum() / static_cast<double>(a.count());
+  };
   for (std::size_t s = 1; s <= max_step; ++s) {
-    ChurnStepAggregate agg;
-    agg.step = s;
+    util::Accumulator warm_exp, cold_exp, skip, warm_ms, cold_ms;
     for (const auto& r : report.records) {
       if (r.step != s) continue;
-      ++agg.cases;
-      agg.warm_expanded_mean += static_cast<double>(r.warm_expanded);
-      agg.cold_expanded_mean += static_cast<double>(r.cold_expanded);
-      agg.skip_mean_pct += r.search_skipped_pct;
-      agg.warm_time_ms_mean += r.warm_time_ms;
-      agg.cold_time_ms_mean += r.cold_time_ms;
+      warm_exp.add(static_cast<double>(r.warm.search.expanded));
+      cold_exp.add(static_cast<double>(r.cold.search.expanded));
+      skip.add(r.search_skipped_pct);
+      warm_ms.add(r.warm_time_ms);
+      cold_ms.add(r.cold_time_ms);
     }
-    if (agg.cases > 0) {
-      const auto n = static_cast<double>(agg.cases);
-      agg.warm_expanded_mean /= n;
-      agg.cold_expanded_mean /= n;
-      agg.skip_mean_pct /= n;
-      agg.warm_time_ms_mean /= n;
-      agg.cold_time_ms_mean /= n;
-      report.by_step.push_back(agg);
-    }
+    if (skip.count() > 0)
+      report.by_step.push_back({s, skip.count(), mean(warm_exp),
+                                mean(cold_exp), mean(skip), mean(warm_ms),
+                                mean(cold_ms)});
   }
   if (!report.by_step.empty() && report.by_step.front().step == 1)
     report.single_delta_skip_mean_pct = report.by_step.front().skip_mean_pct;
@@ -280,33 +273,10 @@ std::string ChurnReport::summary() const {
 }
 
 void write_churn_csv(const ChurnReport& report, std::ostream& out) {
-  out << "case,step,warm_makespan,cold_makespan,warm_proved,cold_proved,"
-         "warm_expanded,cold_expanded,warm_start_used,states_retained,"
-         "search_skipped_pct,oracle_ok,error,spec,warm_time_ms,cold_time_ms"
-         "\n";
-  for (const auto& r : report.records) {
-    out << r.case_index << ',' << r.step << ','
-        << util::format_number(r.warm_makespan) << ','
-        << util::format_number(r.cold_makespan) << ','
-        << (r.warm_proved ? 1 : 0) << ',' << (r.cold_proved ? 1 : 0) << ','
-        << r.warm_expanded << ',' << r.cold_expanded << ','
-        << (r.warm_start_used ? 1 : 0) << ',' << r.states_retained << ','
-        << util::format_number(r.search_skipped_pct) << ','
-        << (r.oracle_ok ? 1 : 0) << ',' << util::csv_escape(r.error) << ','
-        << util::csv_escape(r.spec) << ',' << r.warm_time_ms << ','
-        << r.cold_time_ms << "\n";
-  }
+  util::write_records_csv(report.records, out);
 }
 
 void write_churn_json(const ChurnReport& report, std::ostream& out) {
-  const auto list = [](const std::vector<std::string>& items) {
-    std::string s;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i) s += ", ";
-      s += '"' + util::json_escape(items[i]) + '"';
-    }
-    return s;
-  };
   out << "{\n  \"cases\": " << report.cases << ", \"engine\": \""
       << util::json_escape(report.engine) << "\", \"ok\": "
       << (report.ok() ? "true" : "false") << ", \"cancelled\": "
@@ -327,27 +297,14 @@ void write_churn_json(const ChurnReport& report, std::ostream& out) {
         << ", \"cold_time_ms_mean\": "
         << util::format_number(s.cold_time_ms_mean) << "}";
   }
-  out << "\n  ],\n  \"mismatches\": [" << list(report.mismatches)
-      << "],\n  \"errors\": [" << list(report.errors)
-      << "],\n  \"records\": [";
+  out << "\n  ],\n  \"mismatches\": "
+      << util::json_string_array(report.mismatches)
+      << ",\n  \"errors\": " << util::json_string_array(report.errors)
+      << ",\n  \"records\": [";
   for (std::size_t i = 0; i < report.records.size(); ++i) {
-    const auto& r = report.records[i];
-    out << (i ? ",\n" : "\n") << "    {\"case\": " << r.case_index
-        << ", \"step\": " << r.step << ", \"spec\": \""
-        << util::json_escape(r.spec) << "\", \"warm_makespan\": "
-        << util::format_number(r.warm_makespan) << ", \"cold_makespan\": "
-        << util::format_number(r.cold_makespan) << ", \"warm_proved\": "
-        << (r.warm_proved ? "true" : "false") << ", \"cold_proved\": "
-        << (r.cold_proved ? "true" : "false") << ", \"warm_expanded\": "
-        << r.warm_expanded << ", \"cold_expanded\": " << r.cold_expanded
-        << ", \"warm_start_used\": " << (r.warm_start_used ? "true" : "false")
-        << ", \"states_retained\": " << r.states_retained
-        << ", \"search_skipped_pct\": "
-        << util::format_number(r.search_skipped_pct) << ", \"oracle_ok\": "
-        << (r.oracle_ok ? "true" : "false") << ", \"error\": \""
-        << util::json_escape(r.error)
-        << "\", \"warm_time_ms\": " << r.warm_time_ms
-        << ", \"cold_time_ms\": " << r.cold_time_ms << "}";
+    out << (i ? ",\n    {" : "\n    {");
+    util::write_record_json(report.records[i], out);
+    out << "}";
   }
   out << "\n  ],\n  \"wall_ms\": " << report.wall_ms << "\n}\n";
 }

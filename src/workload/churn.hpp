@@ -12,9 +12,9 @@
 //
 //   Soundness oracle. For exact configurations warm must bit-agree with
 //   cold: same makespan (within tolerance) and same proved_optimal. For
-//   bounded engines (Aε*, weighted A*) the two may legitimately differ;
-//   then each result must lie within the other's proved bound. Any
-//   violation is recorded as a mismatch and fails ok().
+//   bounded engines (Aε*) the two may legitimately differ; then each
+//   result must lie within the other's proved bound. Any violation is
+//   recorded as a mismatch and fails ok().
 //
 //   Savings measurement. search_skipped_pct here is the *exact*
 //   100 * (1 - warm_expanded / cold_expanded) — both runs actually
@@ -77,17 +77,20 @@ struct ChurnRecord {
   double cold_makespan = 0.0;
   bool warm_proved = false;
   bool cold_proved = false;
-  std::uint64_t warm_expanded = 0;
-  std::uint64_t cold_expanded = 0;
-  bool warm_start_used = false;
-  std::uint64_t states_retained = 0;
-  /// Exact skip: 100 * (1 - warm_expanded / cold_expanded). Negative when
+  /// Exact skip: 100 * (1 - warm expanded / cold expanded). Negative when
   /// warm expanded more (never clamped — this is the honest figure).
   double search_skipped_pct = 0.0;
   bool oracle_ok = true;
   std::string error;  ///< exception text; empty on success
   double warm_time_ms = 0.0;
   double cold_time_ms = 0.0;
+  /// Every counter of the warm and of the cold solve.
+  api::SolveStats warm, cold;
+
+  /// Every report column (util/counters.hpp): the record's own columns,
+  /// then the counter table once as `warm_` and once as `cold_`.
+  template <class F>
+  void visit_columns(F&& f) const;
 };
 
 /// Aggregates over all records with the same step index (step >= 1).
@@ -124,12 +127,35 @@ struct ChurnReport {
 ChurnReport run_churn(const std::vector<ChurnCase>& corpus,
                       const ChurnConfig& config);
 
-/// One row per record; the two time columns are last (the only
-/// nondeterministic ones for serial engines).
+/// One row per record, in ChurnRecord::visit_columns order. Determinism
+/// diffs strip the run class (`optsched_cli resolve --list-columns=run`).
 void write_churn_csv(const ChurnReport& report, std::ostream& out);
 
 /// Full report as JSON: metadata, by-step aggregates, failure lists, and
-/// all records (time fields last).
+/// all records, each with the CSV's columns as keys.
 void write_churn_json(const ChurnReport& report, std::ostream& out);
+
+template <class F>
+void ChurnRecord::visit_columns(F&& f) const {
+  using util::Counter;
+  using enum util::Merge;
+  using enum util::CounterClass;
+  f("", Counter{"case", kNone, kSemantic}, case_index);
+  f("", Counter{"step", kNone, kSemantic}, step);
+  f("", Counter{"warm_makespan", kNone, kSemantic}, warm_makespan);
+  f("", Counter{"cold_makespan", kNone, kSemantic}, cold_makespan);
+  f("", Counter{"warm_proved", kNone, kSemantic}, warm_proved);
+  f("", Counter{"cold_proved", kNone, kSemantic}, cold_proved);
+  f("", Counter{"search_skipped_pct", kNone, kEffort}, search_skipped_pct);
+  f("", Counter{"oracle_ok", kNone, kSemantic}, oracle_ok);
+  f("", Counter{"error", kNone, kSemantic}, error);
+  f("", Counter{"spec", kNone, kSemantic}, spec);
+  f("", Counter{"warm_time_ms", kNone, kRun}, warm_time_ms);
+  f("", Counter{"cold_time_ms", kNone, kRun}, cold_time_ms);
+  for (const api::SolveStats* stats : {&warm, &cold})
+    api::SolveStats::visit([&](const Counter& c, const auto& v) {
+      f(stats == &warm ? "warm_" : "cold_", c, v);
+    }, *stats);
+}
 
 }  // namespace optsched::workload

@@ -303,46 +303,16 @@ void SuiteRecord::take(const api::SolveResult& result) {
   stats = result.stats;
 }
 
-std::vector<std::string> column_names(
-    const std::vector<util::CounterClass>& classes) {
-  std::vector<std::string> names;
-  SuiteRecord{}.visit_columns([&](const util::Counter& c, const auto&) {
-    if (std::find(classes.begin(), classes.end(), c.cls) != classes.end())
-      names.emplace_back(c.name);
-  });
-  return names;
-}
-
 void write_csv(const SuiteReport& report, std::ostream& out) {
-  const char* sep = "";
-  SuiteRecord{}.visit_columns([&](const util::Counter& c, const auto&) {
-    out << std::exchange(sep, ",") << c.name;
-  });
-  out << '\n';
-  for (const auto& r : report.records) {
-    sep = "";
-    r.visit_columns([&](const util::Counter&, const auto& v) {
-      out << std::exchange(sep, ",") << util::csv_escape(util::counter_text(v));
-    });
-    out << '\n';
-  }
+  util::write_records_csv(report.records, out);
 }
 
 void write_json(const SuiteReport& report, std::ostream& out) {
-  auto string_list = [&](const std::vector<std::string>& list) {
-    std::string s = "[";
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (i) s += ", ";
-      s += '"' + util::json_escape(list[i]) + '"';
-    }
-    return s + "]";
-  };
-
   out << "{\n  \"suite\": {\"instances\": " << report.instances
       << ", \"jobs\": " << report.jobs << ", \"ok\": "
       << (report.ok() ? "true" : "false") << ", \"cancelled\": "
       << (report.cancelled ? "true" : "false")
-      << ", \"engines\": " << string_list(report.engines)
+      << ", \"engines\": " << util::json_string_array(report.engines)
       << ", \"wall_ms\": " << util::json_number(report.wall_ms) << "},\n";
 
   // Per engine: total_<name> for summed counters, max_<name> for max and
@@ -383,19 +353,18 @@ void write_json(const SuiteReport& report, std::ostream& out) {
   }
   out << "\n  },\n";
 
-  out << "  \"oracle_mismatches\": " << string_list(report.oracle_mismatches)
+  out << "  \"oracle_mismatches\": "
+      << util::json_string_array(report.oracle_mismatches)
       << ",\n  \"validator_failures\": "
-      << string_list(report.validator_failures)
-      << ",\n  \"errors\": " << string_list(report.errors) << ",\n";
+      << util::json_string_array(report.validator_failures)
+      << ",\n  \"errors\": " << util::json_string_array(report.errors)
+      << ",\n";
 
   out << "  \"records\": [\n";
   for (std::size_t i = 0; i < report.records.size(); ++i) {
     const auto& r = report.records[i];
-    const char* sep = "    {";
-    r.visit_columns([&](const util::Counter& c, const auto& v) {
-      out << std::exchange(sep, ", ") << '"' << c.name
-          << "\": " << util::counter_json(v);
-    });
+    out << "    {";
+    util::write_record_json(r, out);
     // Sorted descending (not PPE-id order) so reruns diff on the load
     // distribution alone; min/max for quick scans.
     const auto& per_ppe = r.stats.expanded_per_ppe;

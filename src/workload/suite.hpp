@@ -91,10 +91,10 @@ struct SuiteRecord {
   /// Copy a solve's outcome and counters into the record.
   void take(const api::SolveResult& result);
 
-  /// Every report column of a record in schema order: f(Counter, value).
-  /// The record's own columns (identity, outcome) frame the counter
-  /// table: semantic and effort counters first, then valid/error/spec,
-  /// then the run-class counters and time_ms last.
+  /// Every report column in schema order (util/counters.hpp). The
+  /// record's own columns (identity, outcome) frame the counter table:
+  /// semantic and effort counters first, then valid/error/spec, then the
+  /// run-class counters and time_ms last.
   template <class F>
   void visit_columns(F&& f) const;
 };
@@ -142,36 +142,32 @@ void write_csv(const SuiteReport& report, std::ostream& out);
 /// and all records (every column, plus expanded_per_ppe and its min/max).
 void write_json(const SuiteReport& report, std::ostream& out);
 
-/// The report columns of the given classes, in schema order.
-std::vector<std::string> column_names(
-    const std::vector<util::CounterClass>& classes);
-
 template <class F>
 void SuiteRecord::visit_columns(F&& f) const {
   using util::Counter;
   using enum util::Merge;
   using enum util::CounterClass;
-  f(Counter{"instance", kNone, kSemantic}, instance);
-  f(Counter{"family", kNone, kSemantic}, family);
-  f(Counter{"engine", kNone, kSemantic}, engine);
-  f(Counter{"nodes", kNone, kSemantic}, nodes);
-  f(Counter{"edges", kNone, kSemantic}, edges);
-  f(Counter{"procs", kNone, kSemantic}, procs);
-  f(Counter{"makespan", kNone, kSemantic}, makespan);
-  f(Counter{"proved_optimal", kNone, kSemantic}, proved_optimal);
-  f(Counter{"bound_factor", kNone, kSemantic}, bound_factor);
-  f(Counter{"termination", kNone, kSemantic}, termination);
+  f("", Counter{"instance", kNone, kSemantic}, instance);
+  f("", Counter{"family", kNone, kSemantic}, family);
+  f("", Counter{"engine", kNone, kSemantic}, engine);
+  f("", Counter{"nodes", kNone, kSemantic}, nodes);
+  f("", Counter{"edges", kNone, kSemantic}, edges);
+  f("", Counter{"procs", kNone, kSemantic}, procs);
+  f("", Counter{"makespan", kNone, kSemantic}, makespan);
+  f("", Counter{"proved_optimal", kNone, kSemantic}, proved_optimal);
+  f("", Counter{"bound_factor", kNone, kSemantic}, bound_factor);
+  f("", Counter{"termination", kNone, kSemantic}, termination);
   const auto counters = [&](bool run) {
     api::SolveStats::visit([&](const Counter& c, const auto& v) {
-      if ((c.cls == kRun) == run) f(c, v);
+      if ((c.cls == kRun) == run) f("", c, v);
     }, stats);
   };
   counters(false);
-  f(Counter{"valid", kNone, kSemantic}, valid);
-  f(Counter{"error", kNone, kSemantic}, error);
-  f(Counter{"spec", kNone, kSemantic}, spec);
+  f("", Counter{"valid", kNone, kSemantic}, valid);
+  f("", Counter{"error", kNone, kSemantic}, error);
+  f("", Counter{"spec", kNone, kSemantic}, spec);
   counters(true);
-  f(Counter{"time_ms", kNone, kRun}, time_ms);
+  f("", Counter{"time_ms", kNone, kRun}, time_ms);
 }
 
 }  // namespace optsched::workload

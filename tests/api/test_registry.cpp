@@ -114,6 +114,23 @@ TEST(Registry, RetiredDistWireOptionsRaiseInvalidRequest) {
   }
 }
 
+TEST(Registry, RetiredHWeightOptionRaisesInvalidRequest) {
+  // Aε* is the one bounded best-first search: h-weight (weighted A*) is
+  // an unknown option like any other, on both best-first engines.
+  for (const char* engine : {"astar", "aeps"}) {
+    SolveRequest request = figure1_request();
+    request.options["h-weight"] = "2";
+    try {
+      solve(engine, request);
+      ADD_FAILURE() << "expected InvalidRequest for " << engine;
+    } catch (const InvalidRequest& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("option 'h-weight'"), std::string::npos) << what;
+      EXPECT_NE(what.find("valid options"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Registry, BadOptionValueRaisesInvalidRequest) {
   SolveRequest request = figure1_request();
   request.options["epsilon"] = "banana";
@@ -151,9 +168,6 @@ TEST(Registry, IdaCoreEntryPointThrowsOnEpsilon) {
   const machine::Machine machine = machine::Machine::paper_ring3();
   core::SearchConfig config;
   config.epsilon = 0.2;
-  EXPECT_THROW(core::ida_star_schedule(graph, machine, config), util::Error);
-  config.epsilon = 0.0;
-  config.h_weight = 2.0;
   EXPECT_THROW(core::ida_star_schedule(graph, machine, config), util::Error);
 }
 

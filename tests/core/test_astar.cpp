@@ -127,33 +127,11 @@ TEST(AStar, MemoryCapAboveTheIndexClosedPeakProves) {
   EXPECT_GE(capped.makespan, r.makespan - 1e-9);
 }
 
-TEST(AStar, WeightedAStarBoundHolds) {
-  dag::RandomDagParams p;
-  p.num_nodes = 10;
-  p.seed = 51;
-  const auto g = dag::random_dag(p);
-  const auto m = Machine::fully_connected(3);
-
-  const auto exact = astar_schedule(g, m);
-  ASSERT_TRUE(exact.proved_optimal);
-  for (const double w : {1.5, 2.0, 4.0}) {
-    SearchConfig cfg;
-    cfg.h_weight = w;
-    const auto r = astar_schedule(g, m, cfg);
-    EXPECT_LE(r.makespan, w * exact.makespan + 1e-9) << w;
-    EXPECT_GE(r.makespan, exact.makespan - 1e-9) << w;
-    EXPECT_DOUBLE_EQ(r.bound_factor, w);
-  }
-}
-
 TEST(AStar, InvalidConfigRejected) {
   const auto g = dag::paper_figure1();
   const auto m = Machine::paper_ring3();
   SearchConfig cfg;
   cfg.epsilon = -0.1;
-  EXPECT_THROW(astar_schedule(g, m, cfg), util::Error);
-  cfg.epsilon = 0;
-  cfg.h_weight = 0.5;
   EXPECT_THROW(astar_schedule(g, m, cfg), util::Error);
 }
 

@@ -455,16 +455,12 @@ TEST(ChooseQueue, ExplicitHeapIsNotAFallback) {
   EXPECT_STREQ(choice.fallback, "");
 }
 
-TEST(ChooseQueue, FocalAndWeightedSearchFallBack) {
+TEST(ChooseQueue, FocalSearchFallsBack) {
   const SearchProblem problem(chain_graph({3.0, 5.0, 2.0}, 4.0),
                               Machine::fully_connected(2));
   SearchConfig focal;
   focal.epsilon = 0.2;
   EXPECT_STREQ(choose_queue(problem, focal).fallback, "focal");
-
-  SearchConfig weighted;
-  weighted.h_weight = 2.0;
-  EXPECT_STREQ(choose_queue(problem, weighted).fallback, "weighted");
 }
 
 TEST(ChooseQueue, LooseBoundUsedWithoutUpperBoundPruning) {

@@ -81,9 +81,6 @@ TEST(IdaStar, RejectsApproximateConfigs) {
   SearchConfig cfg;
   cfg.epsilon = 0.5;
   EXPECT_THROW(ida_star_schedule(g, m, cfg), util::Error);
-  cfg.epsilon = 0;
-  cfg.h_weight = 2.0;
-  EXPECT_THROW(ida_star_schedule(g, m, cfg), util::Error);
 }
 
 TEST(IdaStar, PaperFidelityPruningAlsoOptimal) {

@@ -6,9 +6,14 @@
 // committed tests/data/corpus_churn.txt fixture rides along.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "util/jsonl.hpp"
+#include "util/strings.hpp"
 #include "workload/churn.hpp"
 
 namespace optsched::workload {
@@ -116,6 +121,57 @@ family=random nodes=7 ccr=1 machine=clique:2 seeds=200..204 | delta=taskcost nod
   config.engine = "aeps:epsilon=0.2";
   const ChurnReport report = run_churn(corpus, config);
   EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+// The churn report's schema: the record's own columns, then the counter
+// table once as warm_ and once as cold_, each name exactly once, and the
+// JSON records keyed by the same names.
+TEST(ChurnReport, CsvAndJsonCarryEveryCounterForWarmAndCold) {
+  std::istringstream in(
+      "family=random nodes=7 ccr=1 machine=clique:2 seed=3 | "
+      "delta=taskcost node=3 cost=41\n");
+  const ChurnReport report = run_churn(parse_churn_corpus(in), {});
+  ASSERT_TRUE(report.ok()) << report.summary();
+  ASSERT_EQ(report.records.size(), 2u);
+
+  std::vector<std::string> want = {
+      "case",        "step",         "warm_makespan",      "cold_makespan",
+      "warm_proved", "cold_proved",  "search_skipped_pct", "oracle_ok",
+      "error",       "spec",         "warm_time_ms",       "cold_time_ms"};
+  const api::SolveStats table;
+  for (const char* prefix : {"warm_", "cold_"})
+    api::SolveStats::visit(
+        [&](const util::Counter& c, const auto&) {
+          want.push_back(prefix + std::string(c.name));
+        },
+        table);
+  EXPECT_EQ(std::set<std::string>(want.begin(), want.end()).size(),
+            want.size())
+      << "a column name appears twice";
+
+  std::ostringstream csv;
+  write_churn_csv(report, csv);
+  std::istringstream rows(csv.str());
+  std::string header;
+  std::getline(rows, header);
+  EXPECT_EQ(util::split(header, ','), want);
+
+  std::ostringstream json;
+  write_churn_json(report, json);
+  const util::Json parsed = util::Json::parse(json.str());
+  const auto& records = parsed.at("records").as_array();
+  ASSERT_EQ(records.size(), report.records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : records[i].as_object()) keys.push_back(key);
+    std::vector<std::string> sorted = want;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(keys, sorted) << "record " << i;
+    EXPECT_EQ(records[i].at("warm_expanded").as_number(),
+              static_cast<double>(report.records[i].warm.search.expanded));
+    EXPECT_EQ(records[i].at("cold_queue_kind").as_string(),
+              report.records[i].cold.search.queue_kind);
+  }
 }
 
 }  // namespace

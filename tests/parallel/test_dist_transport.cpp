@@ -151,11 +151,9 @@ TEST(DistProtocol, SearchConfigRoundTripsThroughJson) {
   core::SearchConfig config;
   config.queue = core::QueueSelect::kBucket;
   config.epsilon = 0.25;
-  config.h_weight = 1.5;
   const auto back = search_config_from_json(search_config_to_json(config));
   EXPECT_EQ(back.queue, config.queue);
   EXPECT_DOUBLE_EQ(back.epsilon, config.epsilon);
-  EXPECT_DOUBLE_EQ(back.h_weight, config.h_weight);
   EXPECT_EQ(search_config_to_json(back).dump(),
             search_config_to_json(config).dump());
 }
@@ -450,15 +448,14 @@ TEST(DistTransport, OneWorkerReproducesSerialCounters) {
         << "v=" << nodes << " seed=" << seed;
     EXPECT_GT(serial.stats.duplicates_dropped, 0u);
     EXPECT_EQ(dist.par_stats.states_serialized, 0u);
-    // Every other effort counter agrees as well, except two whose
-    // bookkeeping differs by design: the worker samples max_open_size at
-    // status time, and its memory holds SEEN, the importer and the send
-    // filters rather than serial CLOSED.
+    // Every other effort counter agrees as well, max_open_size included,
+    // except peak_memory_bytes: the worker's memory holds SEEN, the
+    // importer and the send filters rather than serial CLOSED.
     core::SearchStats::visit(
         [&](const util::Counter& c, const auto& a, const auto& b) {
           const std::string name = c.name;
           if (c.cls != util::CounterClass::kEffort ||
-              name == "max_open_size" || name == "peak_memory_bytes")
+              name == "peak_memory_bytes")
             return;
           EXPECT_EQ(a, b) << name << " v=" << nodes << " seed=" << seed;
         },
@@ -466,7 +463,7 @@ TEST(DistTransport, OneWorkerReproducesSerialCounters) {
   }
 }
 
-TEST(DistTransport, ExactOnlyRejectsWeightedAndBoundedConfigs) {
+TEST(DistTransport, ExactOnlyRejectsBoundedConfigs) {
   const auto g = dag::paper_figure1();
   const auto m = Machine::paper_ring3();
   const core::SearchProblem problem(g, m);
@@ -475,9 +472,6 @@ TEST(DistTransport, ExactOnlyRejectsWeightedAndBoundedConfigs) {
   cfg.search.epsilon = 0.2;
   EXPECT_THROW(dist_astar_schedule(problem, cfg), util::Error);
   cfg.search.epsilon = 0.0;
-  cfg.search.h_weight = 2.0;
-  EXPECT_THROW(dist_astar_schedule(problem, cfg), util::Error);
-  cfg.search.h_weight = 1.0;
   cfg.naive_termination = true;
   EXPECT_THROW(dist_astar_schedule(problem, cfg), util::Error);
 }

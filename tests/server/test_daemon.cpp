@@ -48,6 +48,18 @@ std::string fresh_socket_path() {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
+/// `outcome` with its run-class counters (elapsed time and the like)
+/// reset to their defaults.
+SolveOutcome without_run_counters(SolveOutcome outcome) {
+  const api::SolveStats defaults;
+  api::SolveStats::visit(
+      [](const util::Counter& c, auto& v, const auto& d) {
+        if (c.cls == util::CounterClass::kRun) v = d;
+      },
+      outcome.stats, defaults);
+  return outcome;
+}
+
 DaemonConfig base_config() {
   DaemonConfig config;
   config.socket_path = fresh_socket_path();
@@ -216,6 +228,41 @@ TEST(Daemon, CacheHitBitAgreesWithColdSolve) {
     EXPECT_TRUE(bits_equal(got.start, want.start)) << "node " << n;
     EXPECT_TRUE(bits_equal(got.finish, want.finish)) << "node " << n;
   }
+
+  daemon.stop();
+  daemon.wait();
+}
+
+TEST(Daemon, CacheHitCarriesEveryCounterOfTheColdSolve) {
+  Daemon daemon(base_config());
+  daemon.start();
+  Client client(daemon.config().socket_path);
+
+  const SolveReply cold = client.solve_raw(solve_command(kSpecA));
+  const SolveReply hit = client.solve_raw(solve_command(kSpecA));
+  ASSERT_TRUE(hit.cache_hit);
+
+  // Every non-run counter of the hit equals the cold reply's and an
+  // in-process solve's: the reply drops none of them.
+  const workload::Instance instance =
+      workload::ScenarioSpec::parse(kSpecA).materialize();
+  api::SolveRequest request(instance.graph, instance.machine, instance.comm);
+  const api::SolveStats reference = api::solve("astar", request).stats;
+  const api::SolveStats from_hit = rebuild_result(instance, hit).stats;
+  const api::SolveStats from_cold = rebuild_result(instance, cold).stats;
+  const api::SolveStats defaults;
+  std::size_t moved = 0;
+  api::SolveStats::visit(
+      [&](const util::Counter& c, const auto& got, const auto& cold_value,
+          const auto& want, const auto& default_value) {
+        if (c.cls == util::CounterClass::kRun) return;
+        EXPECT_TRUE(util::counter_equal(got, cold_value)) << c.name;
+        EXPECT_TRUE(util::counter_equal(got, want)) << c.name;
+        if (!util::counter_equal(want, default_value)) ++moved;
+      },
+      from_hit, from_cold, reference, defaults);
+  EXPECT_GE(moved, 10u);
+  EXPECT_STREQ(from_hit.search.queue_kind, "bucket");
 
   daemon.stop();
   daemon.wait();
@@ -560,7 +607,8 @@ TEST(Daemon, ConcurrentClientsAllGetConsistentAnswers) {
   daemon.start();
 
   // 4 threads x 8 solves over 4 distinct specs: every reply for a spec
-  // must carry the identical outcome (first run caches, rest hit).
+  // must carry the identical outcome (first run caches, rest hit), up to
+  // the run-class counters in which two concurrent cold solves differ.
   constexpr int kThreads = 4;
   const std::string specs[] = {
       "family=random nodes=6 ccr=1 machine=clique:2 seed=21",
@@ -578,8 +626,10 @@ TEST(Daemon, ConcurrentClientsAllGetConsistentAnswers) {
         for (const auto& spec : specs) {
           const SolveReply reply = client.solve_raw(solve_command(spec));
           const std::lock_guard<std::mutex> lock(mu);
-          const auto [it, inserted] = seen.emplace(spec, reply.outcome);
-          if (!inserted && !(it->second == reply.outcome))
+          const auto [it, inserted] =
+              seen.emplace(spec, without_run_counters(reply.outcome));
+          if (!inserted &&
+              !(it->second == without_run_counters(reply.outcome)))
             failures.fetch_add(1);
         }
     });

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 namespace optsched::server {
 namespace {
@@ -28,9 +29,9 @@ SolveOutcome sample_outcome() {
   outcome.proved_optimal = true;
   outcome.bound_factor = 1.0;
   outcome.termination = "optimal";
-  outcome.expanded = 123;
-  outcome.generated = 456;
-  outcome.peak_memory_bytes = 1u << 20;
+  outcome.stats.search.expanded = 123;
+  outcome.stats.search.generated = 456;
+  outcome.stats.search.peak_memory_bytes = 1u << 20;
   outcome.schedule = {{0, 1, 0.0, 2.5}, {1, 0, 2.5, 1.0 / 3.0}};
   return outcome;
 }
@@ -81,6 +82,71 @@ TEST(Protocol, SolveReplyRoundTripsBitExactly) {
   EXPECT_EQ(back.cache_bytes, 9999u);
   EXPECT_EQ(back.queue_wait_ms, 0.125);
   EXPECT_EQ(back.solve_ms, 17.5);
+}
+
+/// Stats with a distinct non-default value in every counter. The labels
+/// point into the caller's strings, not at the static label set, so a
+/// round trip shows the decoder matches them by text.
+api::SolveStats every_counter_set(const std::string& kind,
+                                  const std::string& fallback) {
+  api::SolveStats stats;
+  double next = 0.1 + 0.2;  // no short decimal form
+  api::SolveStats::visit([&](const util::Counter&, auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = true;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = "dist";
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      next += 1.0;
+      v = std::is_floating_point_v<T> ? static_cast<T>(next)
+                                      : static_cast<T>(std::floor(next));
+    }
+  }, stats);
+  stats.search.queue_kind = kind.c_str();
+  stats.search.queue_fallback = fallback.c_str();
+  return stats;
+}
+
+TEST(Protocol, SolveReplyCarriesEveryCounter) {
+  const std::string kind = "heap", fallback = "granularity";
+  SolveReply reply;
+  reply.outcome = sample_outcome();
+  reply.outcome.stats = every_counter_set(kind, fallback);
+  const api::SolveStats defaults;
+  api::SolveStats::visit(
+      [&](const util::Counter& c, const auto& set, const auto& d) {
+        EXPECT_FALSE(util::counter_equal(set, d)) << c.name;
+      },
+      reply.outcome.stats, defaults);
+
+  const SolveReply back = parse_solve_reply(encode_solve_reply(reply));
+  EXPECT_EQ(back.outcome, reply.outcome);
+  EXPECT_STREQ(back.outcome.stats.search.queue_kind, "heap");
+  EXPECT_STREQ(back.outcome.stats.search.queue_fallback, "granularity");
+  EXPECT_EQ(back.outcome.stats.parallel_mode, "dist");
+}
+
+TEST(Protocol, UnknownCounterOrLabelIsABadRequest) {
+  SolveReply reply;
+  reply.outcome = sample_outcome();
+  const std::string good = encode_solve_reply(reply);
+  // An unknown name or label, then fields that are not name=value with a
+  // value of the counter's type.
+  for (const char* field :
+       {"expandedd=1", "queue_kind=fifo", "fallback_reason=weighted",
+        "generated", "=5", "expanded=-1", "expanded=1.5", "shards=4294967296",
+        "cache_hit=2", "elapsed_seconds=x"}) {
+    util::Json frame = util::Json::parse(good);
+    frame["result"]["stats"] =
+        frame["result"]["stats"].as_string() + " " + field;
+    try {
+      parse_solve_reply(frame.dump());
+      ADD_FAILURE() << "expected kBadRequest for " << field;
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.code, ErrorCode::kBadRequest) << field;
+    }
+  }
 }
 
 TEST(Protocol, InfiniteBoundFactorSurvivesTheWire) {

@@ -263,7 +263,7 @@ SuiteReport mixed_report() {
 }
 
 TEST(SuiteRunner, EveryColumnAppearsOnceInCsvHeaderAndJsonRecord) {
-  const std::vector<std::string> names = column_names(
+  const std::vector<std::string> names = util::column_names<SuiteRecord>(
       {util::CounterClass::kSemantic, util::CounterClass::kEffort,
        util::CounterClass::kRun});
   EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
