@@ -126,7 +126,7 @@ struct ChenYuPolicy {
   void expand(StateIndex idx) {
     ctx.move_to(arena, idx);
     ++result.stats.expanded;
-    const util::Key128& parent_sig = arena.sig(idx);
+    const util::Key128& parent_sig = ctx.sig();
     const std::uint32_t parent_depth = arena.hot(idx).depth();
 
     for (const NodeId n : ctx.ready()) {
@@ -147,7 +147,6 @@ struct ChenYuPolicy {
 
         State child;
         child.sig = sig;
-        child.finish = ft;
         child.g = g;
         child.h = lb - g;  // store so f == lb
         child.parent = idx;

@@ -387,9 +387,9 @@ SearchResult run_focal(SearchDriver& d) {
 /// survives iff its own assigned node is clean and its parent survived —
 /// i.e. its whole chain avoids dirty nodes (parents precede children in
 /// the arena, so one forward pass with index remapping suffices). A
-/// surviving chain's stored g/finish/signature replay bit-identically
-/// under the new instance (the context replay asserts exactly that in
-/// debug builds); h is stale and is re-derived during frontier seeding.
+/// surviving chain's stored g and signature replay bit-identically under
+/// the new instance (every context move asserts the signature); h is
+/// stale and is re-derived during frontier seeding.
 /// The previous run's expansion record rides along under the same
 /// remapping. Returns the retained count (0 = nothing reusable; the
 /// caller starts from a cold root).
@@ -414,7 +414,6 @@ std::size_t retain_clean(SearchDriver& d, WarmStart& warm) {
       if (n == dag::kInvalidNode || warm.dirty_nodes[n]) continue;
       if (hs.parent == kNoParent || remap[hs.parent] == kNoParent) continue;
       s.sig = old.sig(i);
-      s.finish = old.finish(i);
       s.g = hs.g;
       s.h = hs.f - hs.g;  // stale; re-derived at seeding
       s.parent = remap[hs.parent];

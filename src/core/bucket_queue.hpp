@@ -16,6 +16,12 @@
 // a bucket form a binary max-heap on (g, -index), so per-bucket cost is
 // O(log bucket) — logarithmic in the f-plateau size, not the frontier.
 //
+// An entry is 8 bytes: the bucket is f's key, and g is stored as its own
+// 32-bit key on the same grid. g is a max of finish times, built from the
+// instance's cost atoms like f, so it is on the grid too (push asserts
+// it); g <= f < the bucket span keeps its key far below 2^32. Keys sort
+// exactly as the doubles do, and key * 2^-shift rebuilds g bit for bit.
+//
 // Construction requires an exact KeyScale and a bucket span within
 // kMaxBuckets; `admissible()` reports why an instance/config cannot use
 // the bucket queue so `queue=auto` can fall back to the heap.
@@ -63,9 +69,10 @@ class BucketQueue {
 
   void push(const OpenEntry& e) {
     const std::int64_t key = key_for(e.f);
+    const std::uint32_t g_key = g_key_for(e.g);
     Bucket& b = buckets_[static_cast<std::size_t>(key)];
     const std::size_t cap = b.capacity();
-    b.push_back({e.g, e.index});
+    b.push_back({g_key, e.index});
     entry_capacity_.entries += b.capacity() - cap;
     std::push_heap(b.begin(), b.end(), deeper_last);
     if (key < cursor_) cursor_ = key;
@@ -94,7 +101,7 @@ class BucketQueue {
     OPTSCHED_ASSERT(!empty());
     const std::int64_t key = settle_cursor();
     const Entry& e = buckets_[static_cast<std::size_t>(key)].front();
-    top_scratch_ = {f_of(key), e.g, e.index};
+    top_scratch_ = {value_of(key), value_of(e.g_key), e.index};
     return top_scratch_;
   }
 
@@ -106,7 +113,7 @@ class BucketQueue {
     const Entry e = b.back();
     b.pop_back();
     --size_;
-    return {f_of(cursor_), e.g, e.index};
+    return {value_of(cursor_), value_of(e.g_key), e.index};
   }
 
   void clear() noexcept {
@@ -149,7 +156,7 @@ class BucketQueue {
       prune_at_least(live_bound);
     if (size_ <= 1 || count == 0) return out;
     const std::int64_t best = settle_cursor();
-    const std::int64_t guard = cut_key(donation_threshold(f_of(best)));
+    const std::int64_t guard = cut_key(donation_threshold(value_of(best)));
     for (std::int64_t k = hi_key_; k >= guard && out.size() < count; --k) {
       Bucket& b = buckets_[static_cast<std::size_t>(k)];
       // Ascending deeper_last order is worst first within the bucket.
@@ -157,7 +164,7 @@ class BucketQueue {
           std::min(b.size(), count - out.size()));
       std::partial_sort(b.begin(), b.begin() + take, b.end(), deeper_last);
       for (auto it = b.begin(); it != b.begin() + take; ++it)
-        out.push_back({f_of(k), it->g, it->index});
+        out.push_back({value_of(k), value_of(it->g_key), it->index});
       b.erase(b.begin(), b.begin() + take);
       std::make_heap(b.begin(), b.end(), deeper_last);
       size_ -= static_cast<std::size_t>(take);
@@ -191,10 +198,12 @@ class BucketQueue {
   }
 
  private:
+  /// g as a grid key (see the file comment), and the state.
   struct Entry {
-    double g;
+    std::uint32_t g_key;
     StateIndex index;
   };
+  static_assert(sizeof(Entry) == 8, "bucket entries must stay 8 bytes");
   using Bucket = std::vector<Entry>;
 
   /// Sum of the buckets' capacities, in entries. A move zeroes the source,
@@ -213,7 +222,7 @@ class BucketQueue {
   /// Max-heap order on (g, -index): pop_heap yields the deepest entry,
   /// ties by smallest index — OpenList::before's exact tie-break.
   static bool deeper_last(const Entry& a, const Entry& b) noexcept {
-    if (a.g != b.g) return a.g < b.g;
+    if (a.g_key != b.g_key) return a.g_key < b.g_key;
     return a.index > b.index;
   }
 
@@ -223,6 +232,15 @@ class BucketQueue {
     OPTSCHED_ASSERT(key >= 0 &&
                     key < static_cast<std::int64_t>(buckets_.size()));
     return key;
+  }
+
+  /// g's grid key: on the grid, non-negative and below 2^32.
+  std::uint32_t g_key_for(double g) const {
+    OPTSCHED_ASSERT(scale_.on_grid(g));
+    const auto key = scale_.key_of(g);
+    OPTSCHED_ASSERT(key >= 0 &&
+                    key <= std::numeric_limits<std::uint32_t>::max());
+    return static_cast<std::uint32_t>(key);
   }
 
   /// First key whose bucket holds entries with f >= bound (for pruning:
@@ -236,7 +254,9 @@ class BucketQueue {
                                     static_cast<std::int64_t>(buckets_.size()));
   }
 
-  double f_of(std::int64_t key) const { return key * inv_scale_; }
+  /// The on-grid value of a key (a bucket's f, or an entry's g): exact,
+  /// as key * 2^-shift does not round.
+  double value_of(std::int64_t key) const { return key * inv_scale_; }
 
   /// First non-empty bucket at or after the cursor (the cursor may trail
   /// after pops empty a bucket, or lead after a below-cursor push).

@@ -90,6 +90,7 @@ void ExpansionContext::reset() {
   g_ = 0.0;
   nmax_ = dag::kInvalidNode;
   depth_ = 0;
+  sig_ = root_signature();
   assignment_seq_.clear();
   path_.clear();
   undo_.clear();
@@ -102,13 +103,14 @@ void ExpansionContext::reset() {
   }
 }
 
-double ExpansionContext::apply(NodeId n, ProcId p) {
+void ExpansionContext::apply(NodeId n, ProcId p) {
   const auto& graph = problem_->graph();
   const double st = start_time(n, p);
   const double ft =
       st + problem_->machine().exec_time(graph.weight(n), p);
-  undo_.push_back({n, p, proc_ready_[p], g_, nmax_,
+  undo_.push_back({n, p, sig_, proc_ready_[p], g_, nmax_,
                    static_cast<bool>(busy_[p])});
+  sig_ = extend_signature(sig_, n, p, ft);
   finish_[n] = ft;
   proc_of_[n] = p;
   proc_ready_[p] = ft;
@@ -126,7 +128,6 @@ double ExpansionContext::apply(NodeId n, ProcId p) {
   }
   assignment_seq_.emplace_back(n, p);
   ++depth_;
-  return ft;
 }
 
 void ExpansionContext::rewind_one() {
@@ -143,6 +144,7 @@ void ExpansionContext::rewind_one() {
   proc_of_[u.node] = machine::kInvalidProc;
   proc_ready_[u.proc] = u.prev_proc_ready;
   busy_[u.proc] = u.prev_busy;
+  sig_ = u.prev_sig;
   g_ = u.prev_g;
   nmax_ = u.prev_nmax;
   --depth_;
@@ -151,28 +153,28 @@ void ExpansionContext::rewind_one() {
 
 void ExpansionContext::replay_state(const StateArena& arena, StateIndex i) {
   const HotState& s = arena.hot(i);
-  const double ft = apply(s.node(), s.proc());
-  // Replay is deterministic: recomputed times must equal stored ones.
-  OPTSCHED_ASSERT(ft == arena.finish(i));
-  (void)ft;
+  apply(s.node(), s.proc());
   path_.push_back(i);
 }
 
 void ExpansionContext::load(const StateArena& arena, StateIndex index) {
+  // The closing check reads the target's signature: start fetching it
+  // while the walk and the replay run.
+  arena.prefetch_sig(index);
   reset();
 
-  // Walk to the root, then replay forward. The walk touches only hot
-  // records; prefetching each state's cold finish time lets the replay
-  // check below read it from cache instead of missing once per step.
+  // Walk to the root (hot records only), then replay forward.
   chain_.clear();
   for (StateIndex i = index; i != kNoParent; i = arena.hot(i).parent) {
     if (arena.hot(i).is_root()) break;
-    arena.prefetch_finish(i);
     chain_.push_back(i);
   }
   for (auto it = chain_.rbegin(); it != chain_.rend(); ++it)
     replay_state(arena, *it);
   OPTSCHED_ASSERT(depth_ == arena.hot(index).depth());
+  // Replay is deterministic: the signature extended with every recomputed
+  // finish time must equal the stored one.
+  OPTSCHED_ASSERT(sig_ == arena.sig(index));
 
   arena_ = &arena;
   loaded_ = index;
@@ -194,11 +196,12 @@ void ExpansionContext::move_to(const StateArena& arena, StateIndex index) {
     return;
   }
 
+  arena.prefetch_sig(index);  // for the closing check, as in load()
+
   // Walk the target's ancestry until it meets the loaded path: the first
   // ancestor that sits on path_ at its own depth is the LCA (equal arena
   // index == equal state == equal chain below it). Everything walked over
-  // is the divergent suffix to replay (its finish times are prefetched for
-  // the replay check, as in load()).
+  // is the divergent suffix to replay.
   chain_.clear();
   std::uint32_t lca_depth = 0;
   for (StateIndex i = index; !arena.hot(i).is_root();
@@ -208,7 +211,6 @@ void ExpansionContext::move_to(const StateArena& arena, StateIndex index) {
       lca_depth = d;
       break;
     }
-    arena.prefetch_finish(i);
     chain_.push_back(i);
   }
 
@@ -230,6 +232,7 @@ void ExpansionContext::move_to(const StateArena& arena, StateIndex index) {
   for (auto it = chain_.rbegin(); it != chain_.rend(); ++it)
     replay_state(arena, *it);
   OPTSCHED_ASSERT(depth_ == target_depth);
+  OPTSCHED_ASSERT(sig_ == arena.sig(index));
 
   loaded_ = index;
   if (stats_) {
@@ -286,7 +289,7 @@ bool Expander::evaluate_child(const util::Key128& parent_sig, NodeId node,
     }
   }
 
-  candidates_.push_back({extend_signature(parent_sig, node, proc, ft), ft,
+  candidates_.push_back({extend_signature(parent_sig, node, proc, ft),
                          child_g, h, node, proc});
   return true;
 }

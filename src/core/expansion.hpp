@@ -11,9 +11,11 @@
 // common ancestor of the currently loaded state and the target, rewinds
 // assignments back to the LCA through an undo stack, and replays only the
 // divergent suffix — falling back to `load` when the delta would do more
-// assignment work than a full replay. Both paths are deterministic, so the
-// recomputed times equal the stored ones exactly (asserted), and the
-// full/incremental split is observable through ExpandStats.
+// assignment work than a full replay. Both paths are deterministic: the
+// context extends a signature with every finish time it recomputes, and a
+// move ends by asserting that it equals the target's stored signature, so
+// a replay that diverges anywhere on the chain aborts. The full/incremental
+// split is observable through ExpandStats.
 #pragma once
 
 #include <bit>
@@ -99,6 +101,9 @@ class ExpansionContext {
   double g() const noexcept { return g_; }
   NodeId nmax() const noexcept { return nmax_; }
   std::uint32_t depth() const noexcept { return depth_; }
+  /// Signature of the loaded state, extended by the replay itself (equal
+  /// to the arena's stored one after every load/move_to).
+  const util::Key128& sig() const noexcept { return sig_; }
 
   /// Ready nodes in the paper's priority order (descending b+t level).
   /// Readiness is kept as a rank-indexed bitset (O(1) insert/remove in
@@ -147,6 +152,7 @@ class ExpansionContext {
   struct Undo {
     NodeId node;
     ProcId proc;
+    util::Key128 prev_sig;
     double prev_proc_ready;
     double prev_g;
     NodeId prev_nmax;
@@ -155,9 +161,10 @@ class ExpansionContext {
 
   /// Reset to the empty schedule (O(v + p)).
   void reset();
-  /// Schedule `n` on `p` on top of the current context; returns the finish
-  /// time. Maintains ready list, pending counts, and the undo stack.
-  double apply(NodeId n, ProcId p);
+  /// Schedule `n` on `p` on top of the current context and extend the
+  /// signature with the finish time. Maintains ready list, pending counts,
+  /// and the undo stack.
+  void apply(NodeId n, ProcId p);
   /// Undo the most recent apply().
   void rewind_one();
   /// apply() the stored assignment of arena[i] and record it on the path.
@@ -182,6 +189,7 @@ class ExpansionContext {
   double g_ = 0.0;
   NodeId nmax_ = dag::kInvalidNode;
   std::uint32_t depth_ = 0;
+  util::Key128 sig_ = root_signature();
 
   const StateArena* arena_ = nullptr;
   StateIndex loaded_ = 0;
@@ -242,7 +250,6 @@ class Expander {
   /// CLOSED probe (phase 2 of expand()).
   struct Candidate {
     util::Key128 sig;
-    double finish;
     double g;
     double h;
     NodeId node;
@@ -272,7 +279,7 @@ void Expander::expand(StateArena& arena, Seen& seen, StateIndex index,
                       double prune_bound, Emit&& emit) {
   ctx_.move_to(arena, index);
   ++stats_.expanded;
-  const util::Key128& parent_sig = arena.sig(index);
+  const util::Key128& parent_sig = ctx_.sig_;
 
   const auto& autos = problem_->automorphisms();
   const std::uint32_t p = problem_->num_procs();
@@ -338,7 +345,6 @@ void Expander::expand(StateArena& arena, Seen& seen, StateIndex index,
     }
     State child;
     child.sig = c.sig;
-    child.finish = c.finish;
     child.g = c.g;
     child.h = c.h;
     child.parent = index;

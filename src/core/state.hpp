@@ -12,16 +12,18 @@
 //   HotState (24 bytes)   f, g, parent link, packed node/proc/depth — the
 //                         fields the pop -> stale-filter -> replay path
 //                         reads for every state it touches.
-//   ColdState (24 bytes)  the 128-bit duplicate-detection signature and the
-//                         stored finish time — read only when a state is
-//                         generated (signature extension), deduplicated, or
-//                         transferred between PPEs.
+//   ColdState (16 bytes)  the 128-bit duplicate-detection signature — read
+//                         when a state is generated (signature extension),
+//                         deduplicated, transferred between PPEs, or loaded
+//                         (the replay check).
 //
-// Keeping the two apart more than halves the resident working set of the
-// search loop versus the former 56-byte AoS record: consecutive frontier
-// pops touch only the hot array, and the cold array stays out of cache
-// until the next generation burst. `State` remains as the generation-time
-// value type; `StateArena::add` splits it.
+// A state costs 40 bytes. Finish times are not stored: the context replay
+// recomputes them, and the signature it extends along the way must equal
+// the stored one (core/expansion.hpp), which checks every replayed finish
+// time at once. Consecutive frontier pops touch only the hot array, and
+// the cold array stays out of cache until the next generation burst or
+// context move. `State` remains as the generation-time value type;
+// `StateArena::add` splits it.
 #pragma once
 
 #include <array>
@@ -52,7 +54,6 @@ inline constexpr std::uint32_t kMaxArenaProcs = (1u << 8) - 2;   // 254
 /// for each surviving child, split into hot/cold by StateArena::add.
 struct State {
   util::Key128 sig;          ///< order-independent partial-schedule identity
-  double finish = 0.0;       ///< finish time of `node`
   double g = 0.0;            ///< max finish time over scheduled nodes
   double h = 0.0;            ///< admissible estimate of remaining length
   StateIndex parent = kNoParent;
@@ -103,11 +104,11 @@ struct HotState {
 };
 static_assert(sizeof(HotState) == 24, "hot state record must stay 24 bytes");
 
-/// Generation/dedup/transfer-time fields, kept off the search loop's path.
+/// Generation/dedup/transfer/load-time field, kept off the pop path.
 struct ColdState {
   util::Key128 sig;
-  double finish = 0.0;
 };
+static_assert(sizeof(ColdState) == 16, "cold state record must stay 16 bytes");
 
 class StateArena {
  public:
@@ -147,7 +148,7 @@ class StateArena {
     }
     ::new (&at(hot_, idx)) HotState{s.g + s.h, s.g, s.parent,
                                     HotState::pack(s.node, s.proc, s.depth)};
-    ::new (&at(cold_, idx)) ColdState{s.sig, s.finish};
+    ::new (&at(cold_, idx)) ColdState{s.sig};
     ++size_;
     return idx;
   }
@@ -162,16 +163,11 @@ class StateArena {
     return at(cold_, i).sig;
   }
 
-  double finish(StateIndex i) const {
+  /// Start loading the signature of state `i` into cache ahead of a
+  /// sig(i) read — the context move's closing check (a hint only).
+  void prefetch_sig(StateIndex i) const noexcept {
     OPTSCHED_ASSERT(i < size_);
-    return at(cold_, i).finish;
-  }
-
-  /// Start loading the stored finish time of state `i` into cache ahead
-  /// of a finish(i) read — the context replay's check (a hint only).
-  void prefetch_finish(StateIndex i) const noexcept {
-    OPTSCHED_ASSERT(i < size_);
-    __builtin_prefetch(&at(cold_, i).finish);
+    __builtin_prefetch(&at(cold_, i).sig);
   }
 
   /// Re-derive f after recomputing h — used only to patch imported states
@@ -196,7 +192,7 @@ class StateArena {
   std::size_t hot_memory_bytes() const noexcept {
     return capacity() * sizeof(HotState);
   }
-  /// Generation/transfer-time footprint (signatures + stored finish times).
+  /// Generation/dedup/transfer-time footprint (signatures).
   std::size_t cold_memory_bytes() const noexcept {
     return capacity() * sizeof(ColdState);
   }

@@ -176,10 +176,10 @@ class Importer {
     core::StateIndex parent = k == 0 ? 0 : chain_idx_[k - 1];
     for (std::size_t i = k; i < seq.size(); ++i) {
       const auto [node, proc] = seq[i];
+      const double ft = replay_.finish(node);
       core::State s;
-      s.finish = replay_.finish(node);
-      s.sig = core::extend_signature(arena_.sig(parent), node, proc, s.finish);
-      s.g = std::max(arena_.hot(parent).g, s.finish);
+      s.sig = core::extend_signature(arena_.sig(parent), node, proc, ft);
+      s.g = std::max(arena_.hot(parent).g, ft);
       s.h = 0.0;  // interior-chain h is never read; the final h is below
       s.parent = parent;
       s.node = node;

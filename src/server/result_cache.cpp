@@ -27,19 +27,16 @@ void ResultCache::insert(const std::string& key,
                          const SolveOutcome& outcome) {
   const std::size_t bytes = entry_bytes(key, outcome);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (bytes > budget_bytes_) return;  // would never fit; refuse
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    // Refresh in place (same key => same deterministic outcome, but a
-    // re-insert after no_cache reference solves must not duplicate).
-    bytes_ -= it->second->bytes;
-    it->second->outcome = outcome;
-    it->second->bytes = bytes;
-    bytes_ += bytes;
+    // Resident: keep the first outcome stored under the key, so every hit
+    // replays one cold solve. A later insert of the key (a concurrent miss
+    // that finished second, a no_cache reference solve) only refreshes
+    // recency.
     lru_.splice(lru_.begin(), lru_, it->second);
-    evict_until_fits(0);
     return;
   }
+  if (bytes > budget_bytes_) return;  // would never fit; refuse
   evict_until_fits(bytes);
   lru_.push_front(Entry{key, outcome, bytes});
   index_.emplace(key, lru_.begin());

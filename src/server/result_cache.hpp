@@ -48,9 +48,10 @@ class ResultCache {
   /// Copy out the entry and mark it most-recently-used; nullopt on miss.
   std::optional<SolveOutcome> lookup(const std::string& key);
 
-  /// Insert (or refresh) an entry, evicting least-recently-used entries
-  /// until the budget holds. No-op when the entry alone exceeds the
-  /// budget.
+  /// Insert an entry, evicting least-recently-used entries until the
+  /// budget holds. No-op when the entry alone exceeds the budget. A key
+  /// already resident keeps its stored outcome and only becomes the most
+  /// recently used.
   void insert(const std::string& key, const SolveOutcome& outcome);
 
   CacheStats stats() const;

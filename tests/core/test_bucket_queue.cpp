@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <vector>
@@ -407,6 +409,59 @@ TEST(KeyScale, PowerOfTwoSpeedsStayExact) {
   EXPECT_GE(ks.shift, 2);        // 2/4 = 0.5, 5/4 = 1.25 need 2^-2
   EXPECT_TRUE(ks.on_grid(1.25));
   EXPECT_FALSE(ks.on_grid(1.0 / 3.0));
+}
+
+/// g travels as a grid key: on a fine grid (shift >= 2, exec times like
+/// 56.25) every g must pop back bit-identical, in the heap's order.
+TEST(BucketQueue, FineGridGPopsBackBitIdentical) {
+  const dag::TaskGraph g = chain_graph({225.0, 45.0, 9.0, 3.0}, 5.0);
+  const Machine m = Machine::fully_connected(3, {1.0, 2.0, 4.0});
+  const SearchProblem problem(g, m);
+  const KeyScale& ks = problem.key_scale();
+  ASSERT_TRUE(ks.exact);
+  ASSERT_GE(ks.shift, 2);
+  // The instance's exec times (225/4 = 56.25, 9/4 = 2.25, 3/4 = 0.75 ...):
+  // sums of them are on its grid, as every g and h a search builds is.
+  std::vector<double> atoms;
+  for (dag::NodeId n = 0; n < g.num_nodes(); ++n)
+    for (machine::ProcId q = 0; q < m.num_procs(); ++q)
+      atoms.push_back(m.exec_time(g.weight(n), q));
+  const double max_atom = *std::max_element(atoms.begin(), atoms.end());
+  util::Rng rng(2718);
+  const auto on_grid_sum = [&](std::uint64_t terms) {
+    double v = 0.0;
+    for (; terms > 0; --terms)
+      v += atoms[rng.uniform_u64(0, atoms.size() - 1)];
+    return v;
+  };
+
+  OpenList heap;
+  BucketQueue bucket(ks, 8 * max_atom);
+  for (int i = 0; i < 5000; ++i) {
+    const double gv = on_grid_sum(rng.uniform_u64(0, 4));
+    const OpenEntry e{gv + on_grid_sum(rng.uniform_u64(0, 4)), gv,
+                      static_cast<StateIndex>(i)};
+    heap.push(e);
+    bucket.push(e);
+  }
+  while (!heap.empty()) {
+    const OpenEntry want = heap.pop();
+    const OpenEntry got = bucket.pop();
+    ASSERT_EQ(got.index, want.index);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.f),
+              std::bit_cast<std::uint64_t>(want.f));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.g),
+              std::bit_cast<std::uint64_t>(want.g));
+  }
+  EXPECT_TRUE(bucket.empty());
+}
+
+TEST(BucketQueueDeathTest, OffGridGAbortsAtPush) {
+  BucketQueue q(grid(2), 100.0);
+  q.push({4.0, 0.25, 0});  // on the 2^-2 grid
+  EXPECT_DEATH(q.push({4.0, 0.125, 1}), "assertion failed");
+  EXPECT_DEATH(q.push({4.0, 1.0 / 3.0, 1}), "assertion failed");
+  EXPECT_DEATH(q.push({4.0, -1.0, 1}), "assertion failed");
 }
 
 TEST(KeyScale, SpeedThreeIsNotRepresentable) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "dag/generators.hpp"
@@ -178,17 +179,58 @@ TEST(Expansion, ContextReplayMatchesSchedule) {
   const auto m = Machine::fully_connected(2);
   Fixture fx(g, m);
   sched::Schedule reference(g, m);
+  ExpansionContext ctx(fx.problem);
 
   StateIndex cur = fx.root;
   while (fx.arena.hot(cur).depth() < g.num_nodes()) {
     const auto kids = fx.expand(cur);
     ASSERT_FALSE(kids.empty());
     cur = kids[0];
-    reference.append(fx.arena.hot(cur).node(), fx.arena.hot(cur).proc());
-    EXPECT_DOUBLE_EQ(fx.arena.finish(cur),
-                     reference.placement(fx.arena.hot(cur).node()).finish);
+    const dag::NodeId node = fx.arena.hot(cur).node();
+    reference.append(node, fx.arena.hot(cur).proc());
+    ctx.load(fx.arena, cur);
+    EXPECT_DOUBLE_EQ(ctx.finish_time(node), reference.placement(node).finish);
     EXPECT_DOUBLE_EQ(fx.arena.hot(cur).g, reference.makespan());
   }
+}
+
+TEST(ExpansionDeathTest, ReplayDivergingFromTheStoredSignatureAborts) {
+  // A record whose stored signature was extended with a finish time one
+  // ulp off the one its chain replays to: both a full load and a delta
+  // move from a loaded sibling must abort on it.
+  const auto g = dag::paper_figure1();
+  const auto m = Machine::paper_ring3();
+  Fixture fx(g, m);
+  const StateIndex parent = fx.expand(fx.root)[0];
+  const auto siblings = fx.expand(parent);
+  ASSERT_GE(siblings.size(), 2u);
+  const HotState good = fx.arena.hot(siblings[0]);
+
+  ExpansionContext ctx(fx.problem);
+  ctx.load(fx.arena, siblings[0]);
+  ASSERT_EQ(ctx.sig(), fx.arena.sig(siblings[0]));
+  const double ft = ctx.finish_time(good.node());
+  State bad;
+  bad.sig = extend_signature(fx.arena.sig(parent), good.node(), good.proc(),
+                             std::nextafter(ft, kInf));
+  bad.g = good.g;
+  bad.parent = parent;
+  bad.node = good.node();
+  bad.proc = good.proc();
+  bad.depth = good.depth();
+  const StateIndex diverged = fx.arena.add(bad);
+
+  EXPECT_DEATH(ctx.load(fx.arena, diverged), "assertion failed");
+
+  // The sibling move is a delta (rewind one, replay one), not a reload.
+  ExpandStats stats;
+  ctx.set_stats(&stats);
+  ctx.move_to(fx.arena, siblings[1]);
+  ASSERT_EQ(stats.loads_incremental, 1u);
+  ASSERT_EQ(stats.loads_full, 0u);
+  EXPECT_DEATH(ctx.move_to(fx.arena, diverged), "assertion failed");
+  ctx.move_to(fx.arena, siblings[0]);  // the parent process is unaffected
+  EXPECT_EQ(ctx.sig(), fx.arena.sig(siblings[0]));
 }
 
 TEST(Expansion, ReadyListFollowsPriorityOrder) {

@@ -134,7 +134,6 @@ TEST(Heuristics, GoalStatesHaveZeroH) {
     const double ft = st + g.weight(n);
     State child;
     child.sig = extend_signature(arena.sig(cur), n, 0, ft);
-    child.finish = ft;
     child.g = std::max(ctx.g(), ft);
     child.parent = cur;
     child.node = n;

@@ -16,7 +16,6 @@ constexpr std::size_t kRecordBytes = sizeof(HotState) + sizeof(ColdState);
 State make_state(std::uint32_t i) {
   State s;
   s.sig = {0x9e3779b97f4a7c15ull * (i + 1), i};
-  s.finish = 0.5 * i;
   s.g = 1.0 + i;
   s.h = 0.25 * (i % 7);
   s.parent = i == 0 ? kNoParent : i - 1;
@@ -36,7 +35,6 @@ void expect_round_trip(const StateArena& arena, std::uint32_t i) {
   EXPECT_EQ(h.proc(), s.proc) << "index " << i;
   EXPECT_EQ(h.depth(), s.depth) << "index " << i;
   EXPECT_EQ(arena.sig(i), s.sig) << "index " << i;
-  EXPECT_EQ(arena.finish(i), s.finish) << "index " << i;
 }
 
 /// Bytes of the segments an arena must hold to store `n` states: segment

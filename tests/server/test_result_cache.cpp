@@ -90,6 +90,39 @@ TEST(ResultCache, DuplicateInsertRefreshesInPlace) {
                                      outcome_for("spec-0")));
 }
 
+TEST(ResultCache, ResidentKeyKeepsItsFirstOutcome) {
+  // Two solves of one key (concurrent misses, say) may differ in their
+  // run class; every hit must replay the first one stored.
+  ResultCache cache(1 << 20);
+  const std::string key = key_for("spec-0");
+  SolveOutcome first = outcome_for("spec-0");
+  first.stats.search.elapsed_seconds = 0.25;
+  SolveOutcome second = outcome_for("spec-0");
+  second.stats.search.elapsed_seconds = 0.5;
+  second.engine = "a-longer-engine-name";  // a different entry size, too
+  cache.insert(key, first);
+  const CacheStats before = cache.stats();
+  cache.insert(key, second);
+  const CacheStats after = cache.stats();
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.entries, 1u);
+  const auto hit = cache.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, first);
+}
+
+TEST(ResultCache, ReinsertRefreshesRecency) {
+  // Room for two entries: re-inserting spec-0 makes spec-1 the coldest.
+  ResultCache cache(budget_for(2));
+  cache.insert(key_for("spec-0"), outcome_for("spec-0"));
+  cache.insert(key_for("spec-1"), outcome_for("spec-1"));
+  cache.insert(key_for("spec-0"), outcome_for("spec-0"));
+  cache.insert(key_for("spec-2"), outcome_for("spec-2"));  // evicts spec-1
+  EXPECT_TRUE(cache.lookup(key_for("spec-0")).has_value());
+  EXPECT_FALSE(cache.lookup(key_for("spec-1")).has_value());
+}
+
 TEST(ResultCache, EntryLargerThanWholeBudgetIsRefused) {
   ResultCache cache(16);  // smaller than any real entry
   cache.insert(key_for("spec-0"), outcome_for("spec-0"));
