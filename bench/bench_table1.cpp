@@ -7,9 +7,13 @@
 // prune=none, "astar") — so this bench doubles as a smoke test of the
 // public surface.
 //
-// Expected shape (paper §4.2): times grow steeply with v and with CCR;
-// Chen & Yu is consistently the slowest (expensive per-state underestimate);
-// pruning buys A* a consistent further reduction. Absolute values are
+// The paper (§4.2) reports times growing steeply with v and with CCR,
+// Chen & Yu the slowest (expensive per-state underestimate) and pruning
+// buying A* a further reduction. This bench does not assert that shape:
+// each CCR table ends with two counts computed from its rows — the solved
+// cells where pruned A* expanded no more states than A*full (naming those
+// where it expanded more) and the cells where Chen & Yu ran slower than
+// pruned A*. Absolute values are
 // hardware-bound — the paper's Paragon needed 120 s for a v=10 cell that a
 // modern core finishes in milliseconds; conversely its v=32 cells took up
 // to 7 *days*, which no laptop bench reproduces. Per-cell instance
@@ -20,6 +24,7 @@
 //   $ ./bench_table1 [--vmax N] [--budget-ms MS] [--full] [--csv]
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "api/registry.hpp"
 #include "bench_common.hpp"
@@ -65,6 +70,8 @@ int main(int argc, char** argv) {
   for (const double ccr : bench::kPaperCcrs) {
     util::Table table({"v", "Chen", "A*full", "A*", "exp(Chen)",
                        "exp(A*full)", "exp(A*)", "inst"});
+    int cells = 0, chen_slower = 0, solved = 0, pruned_no_more = 0;
+    std::string pruned_fails;
     for (std::uint32_t v = opt.vmin; v <= opt.vmax; v += opt.vstep) {
       const auto machine = bench::paper_machine(v);
       Cell probe_cell;
@@ -87,6 +94,16 @@ int main(int argc, char** argv) {
       const Cell full = run("astar", {{"prune", "none"}}, graph, machine,
                             4 * opt.budget_ms);
 
+      ++cells;
+      if (chen.seconds > probe_cell.seconds) ++chen_slower;
+      if (!full.timed_out) {
+        ++solved;
+        if (probe_cell.expanded <= full.expanded)
+          ++pruned_no_more;
+        else
+          pruned_fails += " v=" + std::to_string(v);
+      }
+
       row.cell(bench::cell_time(chen.seconds, chen.timed_out))
           .cell(bench::cell_time(full.seconds, full.timed_out))
           .cell(bench::cell_time(probe_cell.seconds, false))
@@ -99,9 +116,12 @@ int main(int argc, char** argv) {
     std::snprintf(title, sizeof title, "CCR = %.1f", ccr);
     table.print(std::cout, title);
     if (opt.csv) table.write_csv(std::cout);
-    std::printf("\n");
+    std::printf("pruned A* expanded no more states than A*full on %d of %d "
+                "solved cells (more on:%s); Chen & Yu ran slower than A* on "
+                "%d of %d cells\n\n",
+                pruned_no_more, solved,
+                pruned_fails.empty() ? " none" : pruned_fails.c_str(),
+                chen_slower, cells);
   }
-  std::printf("shape check: times grow with v within each column; on solved "
-              "cells Chen >= A*full >= A*.\n");
   return 0;
 }

@@ -91,9 +91,8 @@ core::QueueSelect opt_queue(const Options& options,
   const auto it = options.find("queue");
   if (it == options.end()) return core::QueueSelect::kAuto;
   if (it->second == "auto") return core::QueueSelect::kAuto;
-  if (it->second == "bucket") return core::QueueSelect::kBucket;
   if (it->second == "heap") return core::QueueSelect::kHeap;
-  bad_option(engine, "queue", it->second, "auto|bucket|heap");
+  bad_option(engine, "queue", it->second, "auto|heap");
 }
 
 core::HFunction opt_h(const Options& options, const std::string& engine) {
@@ -378,7 +377,7 @@ const std::vector<OptionSpec> kAStarOptions = {
     {"h", "heuristic function: zero|paper|path|composite"},
     {"prune", "pruning preset: all|none|paper"},
     {"incumbent", "anytime incumbent updates: 0|1 (default 1)"},
-    {"queue", "OPEN list: auto|bucket|heap (default auto — bucket when the "
+    {"queue", "OPEN list: auto|heap (default auto — bucket when the "
               "instance's f values fit an exact fixed-point grid, else heap)"},
 };
 
@@ -436,7 +435,7 @@ void register_builtin_engines(SolverRegistry& registry) {
          "ws mode: dedup-table shard count, <= 65536 (default 0 = 4x ppes); "
          "the table's fixed allocation is checked against max_memory_bytes "
          "up front"},
-        {"queue", "per-PPE OPEN list: auto|bucket|heap (default auto)"},
+        {"queue", "per-PPE OPEN list: auto|heap (default auto)"},
         {"naive-term", "paper's first-goal termination: 0|1 (default 0)"}},
        [] { return std::make_unique<ParallelSolver>(); }});
   registry.add(

@@ -1,6 +1,7 @@
 #include "core/astar.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/closed_set.hpp"
 #include "core/frontier.hpp"
@@ -21,7 +22,7 @@ State make_root() {
   return root;
 }
 
-/// Shared bookkeeping for both selection disciplines (plain A* and FOCAL).
+/// Bookkeeping of one serial solve: arena, CLOSED, incumbent, warm record.
 struct SearchDriver {
   explicit SearchDriver(const SearchProblem& p, const SearchConfig& c,
                         WarmStart* w = nullptr)
@@ -60,11 +61,9 @@ struct SearchDriver {
     return depth == problem.num_nodes();
   }
 
-  /// Threshold passed to the expander's upper-bound pruning.
   double prune_bound() const {
-    if (!config.prune.upper_bound) return 0.0;  // unused
-    return config.prune.strict_upper_bound ? problem.upper_bound()
-                                           : incumbent_len;
+    return core::prune_bound(config.prune, problem.upper_bound(),
+                             incumbent_len);
   }
 
   /// Expand through the Expander, keeping the warm-start expansion record
@@ -131,45 +130,57 @@ struct SearchDriver {
   }
 };
 
-// ---- plain A* (heap or bucket queue on (f, -g, index)) -------------------
-
+// ---- A* and Aε* ----------------------------------------------------------
+//
+// One best-first policy. At epsilon 0 the frontier pops the minimum
+// (f, -g, index): A*. At epsilon > 0 it pops by the FOCAL rule
+// (core/frontier.hpp), the smallest h within f <= (1 + eps) * fmin: Aε*,
+// whose result costs at most (1+eps) * optimal (Theorem 2). Either way the
+// search stops once the incumbent dominates the frontier minimum fmin, a
+// lower bound on every schedule not yet examined (core::dominated).
 struct AStarPolicy {
   explicit AStarPolicy(SearchDriver& driver)
       : d(driver),
-        open(driver.problem, driver.config) {}
+        open(driver.problem, driver.config),
+        eps(driver.config.epsilon) {}
 
   SearchDriver& d;
   Frontier open;
-  OpenEntry current{};  ///< last popped entry (f drives progress/domination)
+  double eps;
+  /// Frontier minimum when the last entry was popped; +inf once the
+  /// frontier is exhausted, where nothing is left to beat the incumbent.
+  double fmin_at_pop = 0.0;
   std::size_t max_open = 1;
   bool goal_popped = false;
 
   bool keep_searching() const { return !goal_popped; }
 
   bool pop(StateIndex& out) {
-    if (open.empty()) return false;
-    current = open.pop();
-    out = current.index;
+    if (open.empty()) {
+      fmin_at_pop = std::numeric_limits<double>::infinity();
+      return false;
+    }
+    out = open.pop(&fmin_at_pop).index;
     return true;
   }
 
   bool on_empty() { return false; }  // serial: an empty frontier ends it
 
   StepAction classify(StateIndex idx) {
-    // Incumbent domination: current.f is the minimum over OPEN, so nothing
-    // left can strictly beat the incumbent — it is optimal. Paper-fidelity
-    // mode keeps the f == U frontier alive so the goal is popped
-    // explicitly, as in the Figure 3 trace.
-    const bool dominated = d.config.prune.strict_upper_bound
-                               ? current.f > d.incumbent_len + 1e-9
-                               : current.f >= d.incumbent_len - 1e-9;
-    if (dominated) return StepAction::kStop;
+    // Tested after the limit poll, so a limit that trips on this step wins
+    // over the proof. Paper-fidelity mode keeps the f == U frontier alive
+    // so the goal is popped explicitly, as in the Figure 3 trace.
+    if (dominated(fmin_at_pop, d.incumbent_len, eps,
+                  d.config.prune.strict_upper_bound))
+      return StepAction::kStop;
     if (d.is_goal_depth(d.arena.hot(idx).depth())) return StepAction::kGoal;
     return StepAction::kExpand;
   }
 
   void on_goal(StateIndex idx) {
-    // Goal popped with minimum f: optimal (admissible h, exact dedup).
+    // A goal within the FOCAL bound of fmin beats the incumbent (it was
+    // not dominated), so it becomes the incumbent; at epsilon 0 its f is
+    // fmin itself and it is optimal.
     d.offer_goal(idx);
     goal_popped = true;
   }
@@ -194,7 +205,7 @@ struct AStarPolicy {
   }
 
   void maybe_progress(KernelGuard& guard) {
-    guard.maybe_progress(expanded_count(), current.f, d.incumbent_len);
+    guard.maybe_progress(expanded_count(), fmin_at_pop, d.incumbent_len);
   }
 };
 
@@ -252,14 +263,11 @@ void seed_frontier(SearchDriver& d, Frontier& open) {
     // retained state at or above the incumbent cannot lead to anything
     // better (admissible h), so it stays closed (its signature is already
     // in `seen`) without entering OPEN. The root is always pushed.
-    if (warm_arena && i > 0 && d.config.prune.upper_bound) {
-      const HotState& s = d.arena.hot(i);
-      const bool over = d.config.prune.strict_upper_bound
-                            ? s.f > d.problem.upper_bound() + 1e-9
-                            : s.f >= d.incumbent_len - 1e-9;
-      if (over && !d.is_goal_depth(s.depth())) continue;
-    }
     const HotState& s = d.arena.hot(i);
+    if (warm_arena && i > 0 && d.config.prune.upper_bound &&
+        !d.is_goal_depth(s.depth()) &&
+        dominated(s.f, initial_prune, 0.0, d.config.prune.strict_upper_bound))
+      continue;
     open.push({s.f, s.g, s.h(), i});
   }
   if (d.warm) d.warm->states_skipped = skipped;
@@ -269,118 +277,16 @@ SearchResult run_astar(SearchDriver& d) {
   AStarPolicy p(d);
   seed_frontier(d, p.open);
 
-  if (const auto hit = run_search_loop(d.guard, p))
-    return d.finish(*hit, false, 1.0, p.max_open, &p.open);
-
-  // A goal popped with minimum f, or OPEN exhausted or dominated (every
-  // complete schedule not examined was proven >= the incumbent): either
-  // way the incumbent is optimal.
-  return d.finish(Termination::kOptimal, true, 1.0, p.max_open, &p.open);
-}
-
-// ---- Aε* (FOCAL) ---------------------------------------------------------
-//
-// The frontier pops by the FOCAL rule (core/frontier.hpp): the smallest h
-// within f <= (1 + eps) * fmin. Theorem 2: the first goal obtained this
-// way costs at most (1+eps) * optimal.
-struct FocalPolicy {
-  explicit FocalPolicy(SearchDriver& driver)
-      : d(driver),
-        open(driver.problem, driver.config),
-        eps(driver.config.epsilon) {}
-
-  SearchDriver& d;
-  Frontier open;
-  double eps;
-  OpenEntry current{};
-  double fmin_at_pop = 0.0;  ///< frontier minimum when `current` was chosen
-  std::size_t max_open = 1;
-  bool goal_popped = false;
-  bool bound_reached = false;  ///< incumbent within (1+eps) of everything left
-  bool bound_exact = false;
-
-  bool keep_searching() {
-    if (goal_popped || bound_reached) return false;
-    if (open.empty()) return true;  // let pop report exhaustion
-    // (1+eps)-termination: the incumbent is already within the guarantee
-    // of everything that remains (optimal >= fmin).
-    const double fmin = open.min_f();
-    if (d.incumbent_len <= (1.0 + eps) * fmin + 1e-9) {
-      bound_reached = true;
-      bound_exact = d.incumbent_len <= fmin + 1e-9;
-      return false;
-    }
-    return true;
-  }
-
-  bool pop(StateIndex& out) {
-    if (open.empty()) return false;
-    fmin_at_pop = open.min_f();
-    current = open.pop();
-    out = current.index;
-    return true;
-  }
-
-  bool on_empty() { return false; }
-
-  StepAction classify(StateIndex idx) {
-    return d.is_goal_depth(d.arena.hot(idx).depth()) ? StepAction::kGoal
-                                                     : StepAction::kExpand;
-  }
-
-  void on_goal(StateIndex idx) {
-    d.offer_goal(idx);
-    goal_popped = true;
-  }
-
-  void expand(StateIndex idx) {
-    d.expand_state(idx, [&](StateIndex k, const State& child) {
-      if (d.config.incumbent_updates && d.is_goal_depth(child.depth)) {
-        d.offer_goal(k);
-        return;
-      }
-      open.push({child.f(), child.g, child.h, k});
-    });
-  }
-
-  void after_expand() { max_open = std::max(max_open, open.size()); }
-
-  std::uint64_t expanded_count() const { return d.expander.stats().expanded; }
-
-  std::size_t memory_now() const {
-    return d.arena.memory_bytes() + d.seen.memory_bytes() +
-           open.memory_bytes();
-  }
-
-  void maybe_progress(KernelGuard& guard) {
-    guard.maybe_progress(expanded_count(), fmin_at_pop, d.incumbent_len);
-  }
-};
-
-SearchResult run_focal(SearchDriver& d) {
-  FocalPolicy p(d);
-  seed_frontier(d, p.open);
-
   const double bound_factor = 1.0 + p.eps;
-
   if (const auto hit = run_search_loop(d.guard, p))
     return d.finish(*hit, false, bound_factor, p.max_open, &p.open);
 
-  if (p.bound_reached)
-    return d.finish(p.bound_exact ? Termination::kOptimal
-                                  : Termination::kBoundedOptimal,
-                    true, p.bound_exact ? 1.0 : bound_factor, p.max_open,
-                    &p.open);
-
-  if (p.goal_popped) {
-    const bool is_exact = p.current.f <= p.fmin_at_pop + 1e-9;
-    return d.finish(is_exact ? Termination::kOptimal
-                             : Termination::kBoundedOptimal,
-                    true, is_exact ? 1.0 : bound_factor, p.max_open,
-                    &p.open);
-  }
-
-  return d.finish(Termination::kOptimal, true, 1.0, p.max_open, &p.open);
+  // A popped goal, a dominated frontier or an exhausted one: the incumbent
+  // is within (1+eps) of fmin, and optimal when it matches fmin itself —
+  // always so at epsilon 0.
+  const bool exact = dominated(p.fmin_at_pop, d.incumbent_len, 0.0, false);
+  return d.finish(exact ? Termination::kOptimal : Termination::kBoundedOptimal,
+                  true, exact ? 1.0 : bound_factor, p.max_open, &p.open);
 }
 
 /// Move the previous arena in and compact it to the clean subset: a state
@@ -459,7 +365,7 @@ SearchResult astar_schedule(const SearchProblem& problem,
     {
       if (driver.arena.size() == 0) driver.arena.add(make_root());
       const double root_lb = driver.expander.state_h(driver.arena, 0);
-      if (driver.incumbent_len <= root_lb + 1e-9) {
+      if (dominated(root_lb, driver.incumbent_len, 0.0, false)) {
         warm->instant_proof = true;
         warm->warm_used = retained > 0 || driver.seed_schedule != nullptr;
         SearchResult result = driver.finish(Termination::kOptimal, true, 1.0,
@@ -472,8 +378,7 @@ SearchResult astar_schedule(const SearchProblem& problem,
     }
     warm->warm_used = retained > 0 || driver.seed_schedule != nullptr;
   }
-  SearchResult result =
-      config.epsilon > 0.0 ? run_focal(driver) : run_astar(driver);
+  SearchResult result = run_astar(driver);
   if (warm) {
     driver.flags.resize(driver.arena.size(), 0);
     driver.bounds.resize(driver.arena.size(), 0.0);

@@ -39,7 +39,7 @@ struct SearchStats : ExpandStats {
   /// OPEN list actually used: "bucket", "heap", "focal" (Aε* FOCAL set),
   /// or "" for engines without an OPEN list (IDA*, heuristics).
   const char* queue_kind = "";
-  /// Why the bucket queue was not used when queue=auto|bucket asked for it
+  /// Why the bucket queue was not used when queue=auto asked for it
   /// ("" when it was, or when queue=heap chose the heap explicitly).
   const char* queue_fallback = "";
   /// Widest f-key span the bucket queue ever held (0 on the heap path);

@@ -294,8 +294,7 @@ struct QueueChoice {
 /// exact fixed-point key scale for the instance, epsilon == 0 (FOCAL uses
 /// its own set; that reason is reported first), a finite f bound whose
 /// key span fits kMaxBuckets, and — for kComposite — the W/(p *
-/// max_speed) workload atom on the grid. queue=bucket still falls back on
-/// these (soundness is not configurable); queue=heap skips the checks
+/// max_speed) workload atom on the grid. queue=heap skips the checks
 /// entirely.
 QueueChoice choose_queue(const SearchProblem& problem,
                          const SearchConfig& config);

@@ -53,12 +53,9 @@ struct PruneConfig {
 /// OPEN list implementation for best-first engines. kAuto picks the
 /// bucketed queue whenever the instance's fixed-point key scale certifies
 /// it (core/key_scale.hpp) and the configuration is exact best-first
-/// (epsilon 0, upper-bound pruning on); otherwise the 4-ary heap. kBucket
-/// *requests* buckets but still falls back — soundness is never
-/// configurable — with the reason reported in SearchStats.
-enum class QueueSelect : std::uint8_t { kAuto, kBucket, kHeap };
-
-const char* to_string(QueueSelect q);
+/// (epsilon 0, upper-bound pruning on), with the fallback reason reported
+/// in SearchStats; kHeap always uses the 4-ary heap.
+enum class QueueSelect : std::uint8_t { kAuto, kHeap };
 
 struct SearchConfig {
   PruneConfig prune{};

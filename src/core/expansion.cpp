@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/search_kernel.hpp"
+
 namespace optsched::core {
 
 const char* to_string(Termination t) {
@@ -20,18 +22,6 @@ const char* to_string(Termination t) {
       return "cancelled";
     case Termination::kHeuristic:
       return "heuristic";
-  }
-  return "?";
-}
-
-const char* to_string(QueueSelect q) {
-  switch (q) {
-    case QueueSelect::kAuto:
-      return "auto";
-    case QueueSelect::kBucket:
-      return "bucket";
-    case QueueSelect::kHeap:
-      return "heap";
   }
   return "?";
 }
@@ -279,14 +269,10 @@ bool Expander::evaluate_child(const util::Key128& parent_sig, NodeId node,
   ctx_.depth_ -= 1;
 
   const double f = child_g + h;
-  if (config_.prune.upper_bound) {
-    const bool over = config_.prune.strict_upper_bound
-                          ? f > prune_bound + 1e-9
-                          : f >= prune_bound - 1e-9;
-    if (over) {
-      ++stats_.pruned_upper_bound;
-      return false;
-    }
+  if (config_.prune.upper_bound &&
+      dominated(f, prune_bound, 0.0, config_.prune.strict_upper_bound)) {
+    ++stats_.pruned_upper_bound;
+    return false;
   }
 
   candidates_.push_back({extend_signature(parent_sig, node, proc, ft),

@@ -103,13 +103,17 @@ class Frontier {
   /// the (1+eps) guarantee (Pearl & Kim: the secondary rule is free), so
   /// the scan stops after kFocalScanCap members to keep selection O(1)
   /// amortized; beyond the cap the smallest-f member is as good as any.
-  OpenEntry pop() {
-    switch (kind_) {
-      case Kind::kBucket: return bucket_->pop();
-      case Kind::kHeap: return heap_.pop();
-      default: break;
+  /// `min_f`, when given, receives the frontier minimum before the pop —
+  /// for the heap and the bucket queue the popped f itself.
+  OpenEntry pop(double* min_f = nullptr) {
+    if (kind_ != Kind::kFocal) {
+      const OpenEntry out =
+          kind_ == Kind::kBucket ? bucket_->pop() : heap_.pop();
+      if (min_f) *min_f = out.f;
+      return out;
     }
     OPTSCHED_ASSERT(!focal_.empty());
+    if (min_f) *min_f = focal_.begin()->f;
     const double bound = (1.0 + eps_) * focal_.begin()->f + 1e-12;
     auto chosen = focal_.begin();
     int scanned = 0;

@@ -11,6 +11,8 @@
 //                     progress-callback throttle, polled once per step.
 //   run_search_loop   the pop -> filter -> goal -> expand skeleton,
 //                     parameterized by an engine Policy.
+//   dominated         the incumbent rule every engine proves optimality
+//                     with, and prune_bound, the generation prune's bound.
 //   SharedIncumbent   the incumbent shared across search threads: lock-free
 //                     bound reads on the hot path, exact value + winning
 //                     payload behind a mutex (parallel engines).
@@ -18,15 +20,14 @@
 // A Policy supplies the frontier discipline and the engine-specific
 // decisions (duck-typed; see the engines for examples):
 //
-//   bool keep_searching();            // pre-pop termination (dominated
-//                                     //   frontier, goal found, shared
-//                                     //   done flag, FOCAL bound test)
+//   bool keep_searching();            // pre-pop termination (goal
+//                                     //   found, shared done flag)
 //   bool pop(StateIndex& out);        // next frontier entry; false = empty
 //   bool on_empty();                  // empty frontier: true = retry the
 //                                     //   loop (parallel idle/steal dance),
 //                                     //   false = exhausted
 //   StepAction classify(StateIndex);  // stale-filter / incumbent-prune /
-//                                     //   goal recognition
+//                                     //   dominance stop / goal recognition
 //   void on_goal(StateIndex);         // record or publish the incumbent
 //   void expand(StateIndex);          // move_to + successor generation
 //   void after_expand();              // frontier bookkeeping, comm rounds
@@ -52,6 +53,26 @@
 
 namespace optsched::core {
 
+/// The incumbent rule, the one test every engine uses to prove a schedule
+/// (bounded-)optimal: can nothing with admissible lower bound `f` beat the
+/// `incumbent` by more than the (1+eps) guarantee allows? Plain form:
+/// incumbent <= (1+eps)·f. Paper-fidelity mode (`strict`, exact search
+/// only) keeps the f == incumbent frontier alive: f > incumbent. The
+/// tolerance absorbs rounding in sums of task and comm costs; it lives here
+/// and nowhere else.
+inline bool dominated(double f, double incumbent, double eps, bool strict) {
+  constexpr double tol = 1e-9;
+  if (strict && eps == 0.0) return f > incumbent + tol;
+  return incumbent <= (1.0 + eps) * f + tol;
+}
+
+/// Upper-bound pruning threshold for generated states: the live incumbent,
+/// or in paper-fidelity mode the static upper bound U (§3.2's f > U).
+inline double prune_bound(const PruneConfig& prune, double static_bound,
+                          double incumbent) {
+  return prune.strict_upper_bound ? static_bound : incumbent;
+}
+
 /// Cross-thread incumbent shared by the parallel engines: the bound is a
 /// lock-free atomic for the hot paths (upper-bound pruning, frontier
 /// domination tests), while the exact value and the winning payload (the
@@ -69,7 +90,7 @@ class SharedIncumbent {
   /// incumbent (and consumed the payload).
   bool offer(double value, Payload&& payload) {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (value >= exact_ - 1e-12) return false;
+    if (dominated(value, exact_, 0.0, false)) return false;
     exact_ = value;
     payload_ = std::move(payload);
     bound_.store(value, std::memory_order_release);

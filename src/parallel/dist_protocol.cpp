@@ -124,8 +124,9 @@ core::SearchConfig search_config_from_json(const Json& j) {
                    "unknown h function code");
   config.h = static_cast<core::HFunction>(h);
   const auto queue = j.at("queue").as_count<std::uint32_t>("queue select");
-  OPTSCHED_REQUIRE(queue <= static_cast<std::uint32_t>(core::QueueSelect::kHeap),
-                   "unknown queue select code");
+  OPTSCHED_REQUIRE(
+      queue <= static_cast<std::uint32_t>(core::QueueSelect::kHeap),
+      "unknown queue select code");
   config.queue = static_cast<core::QueueSelect>(queue);
   config.epsilon = j.at("eps").as_number();
   return config;

@@ -158,8 +158,7 @@ class DistWorker {
 
   bool pop(StateIndex& out) {
     // Fast-drop a fully dominated frontier (everything >= incumbent).
-    if (!open_->empty() && open_->min_f() >= incumbent_ - 1e-9)
-      open_->clear();
+    if (!open_->empty() && beaten(open_->min_f())) open_->clear();
     if (open_->empty()) return false;
     out = open_->pop().index;
     return true;
@@ -201,8 +200,7 @@ class DistWorker {
   /// Goals never enter OPEN (they are offered when generated or
   /// imported), so the only filter is the live incumbent.
   StepAction classify(StateIndex idx) const {
-    return arena_.hot(idx).f >= incumbent_ - 1e-9 ? StepAction::kSkip
-                                                  : StepAction::kExpand;
+    return beaten(arena_.hot(idx).f) ? StepAction::kSkip : StepAction::kExpand;
   }
 
   void on_goal(StateIndex) {}  // unreachable: classify never says kGoal
@@ -210,9 +208,8 @@ class DistWorker {
   void expand(StateIndex idx) {
     idle_backoff_us_ = 0;  // real work: next idle report is immediate
     DeferredSeen seen{this};
-    const double bound = config_.prune.strict_upper_bound
-                             ? problem_->upper_bound()
-                             : incumbent_;
+    const double bound = core::prune_bound(
+        config_.prune, problem_->upper_bound(), incumbent_);
     // The expanded state's abstract key, read once from the expansion
     // context — loaded by the time the first child is emitted.
     std::optional<std::uint64_t> key;
@@ -280,6 +277,12 @@ class DistWorker {
     static bool insert(const util::Key128&) { return true; }
     void prefetch(const util::Key128& k) const { w->seen_.prefetch(k); }
   };
+
+  /// Can nothing with lower bound `f` beat the incumbent? Dist search is
+  /// exact-only (epsilon 0) and never strict.
+  bool beaten(double f) const {
+    return core::dominated(f, incumbent_, 0.0, false);
+  }
 
   /// Abstract key of the state loaded in the expansion context.
   std::uint64_t context_key() const {
@@ -403,7 +406,7 @@ class DistWorker {
 
   void offer_goal(double len,
                   const std::vector<std::pair<NodeId, ProcId>>& seq) {
-    if (len >= incumbent_ - 1e-9) return;
+    if (beaten(len)) return;
     incumbent_ = len;  // a complete schedule is always a sound bound
     Json goal;
     goal["t"] = "goal";
@@ -554,7 +557,7 @@ class DistWorker {
     OPTSCHED_ASSERT(owner_->owner(key) == rank_);
     if (!seen_.insert(last.sig)) return;
     const core::Frontier::Entry e = importer_->attach(msg);
-    if (e.f >= incumbent_ - 1e-9) return;  // dominated: never popped
+    if (beaten(e.f)) return;  // dominated: never popped
     open_->push(e);
   }
 
@@ -879,12 +882,7 @@ class DistCoordinator {
             static_cast<std::uint32_t>(j.at("rank").as_number()) == *rank,
             "worker rank mismatch");
       } else if (t == "goal") {
-        const double len = j.at("len").as_number();
-        if (len < incumbent_len_ - 1e-9) {
-          incumbent_len_ = len;
-          incumbent_seq_ = assignments_from_json(j.at("a"));
-          broadcast(wire::encode_bound(len));
-        }
+        if (accept_goal(j)) broadcast(wire::encode_bound(incumbent_len_));
       } else if (t == "limit") {
         // The memory cap is the only limit a worker arms.
         return core::Termination::kMemoryLimit;
@@ -894,6 +892,15 @@ class DistCoordinator {
         fail(*rank, "unexpected frame type: " + t);
       }
     }
+  }
+
+  /// A worker's goal frame: adopted when it beats the incumbent.
+  bool accept_goal(const Json& j) {
+    const double len = j.at("len").as_number();
+    if (core::dominated(len, incumbent_len_, 0.0, false)) return false;
+    incumbent_len_ = len;
+    incumbent_seq_ = assignments_from_json(j.at("a"));
+    return true;
   }
 
   /// After the stop broadcast every worker answers with one bye frame and
@@ -920,11 +927,7 @@ class DistCoordinator {
         workers_[*rank].got_bye = true;
         ++byes;
       } else if (t == "goal") {
-        const double len = j.at("len").as_number();
-        if (len < incumbent_len_ - 1e-9) {
-          incumbent_len_ = len;
-          incumbent_seq_ = assignments_from_json(j.at("a"));
-        }
+        accept_goal(j);
       } else if (t == "err") {
         fail(*rank, j.at("msg").as_string());
       }  // batches/statuses racing the stop: dropped
@@ -950,31 +953,11 @@ class DistCoordinator {
 
   // ---- result assembly ---------------------------------------------------
 
+  /// Only quiescence proves the incumbent optimal (dist is exact-only);
+  /// every limit returns it unproved.
   ParallelResult assemble(core::Termination reason) {
-    ParallelResult out{
-        core::SearchResult{sched::Schedule(problem_.graph(),
-                                           problem_.machine(),
-                                           problem_.comm()),
-                           0.0, false, 1.0, core::Termination::kOptimal, {}},
-        {}};
-    if (incumbent_seq_.empty()) {
-      // No goal beat the seeded bound; return its backing schedule.
-      if (config_.seed_schedule &&
-          config_.seed_schedule->makespan() <= problem_.upper_bound())
-        out.result.schedule = *config_.seed_schedule;
-      else
-        out.result.schedule = problem_.upper_bound_schedule();
-    } else {
-      for (const auto& [n, p] : incumbent_seq_) out.result.schedule.append(n, p);
-    }
-    sched::validate(out.result.schedule);
-    out.result.makespan = out.result.schedule.makespan();
-
-    // Only quiescence proves the incumbent optimal (dist is exact-only);
-    // every limit returns it unproved.
-    out.result.reason = reason;
-    out.result.proved_optimal = reason == core::Termination::kOptimal;
-
+    ParallelResult out =
+        assemble_result(problem_, config_, incumbent_seq_, reason);
     core::SearchStats& st = out.result.stats;
     for (const auto& w : workers_) {
       if (!w.got_bye) continue;  // unreachable: collect_byes throws first

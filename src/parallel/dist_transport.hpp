@@ -44,4 +44,15 @@ namespace optsched::par {
 ParallelResult dist_astar_schedule(const core::SearchProblem& problem,
                                    const ParallelConfig& config);
 
+/// The result both parallel engines return: the incumbent's assignment
+/// sequence replayed into a schedule — or, when no goal beat the initial
+/// bound, the warm-start seed or the upper-bound schedule behind it —
+/// with the proof of how the search stopped. `stop` is the limit that
+/// ended it (returned unproved), or kOptimal when the search reached its
+/// termination rule. Defined in parallel_astar.cpp.
+ParallelResult assemble_result(
+    const core::SearchProblem& problem, const ParallelConfig& config,
+    const std::vector<std::pair<dag::NodeId, machine::ProcId>>& incumbent,
+    core::Termination stop);
+
 }  // namespace optsched::par

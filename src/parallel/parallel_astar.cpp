@@ -47,8 +47,8 @@ struct Shared {
   core::SharedIncumbent<std::vector<std::pair<NodeId, ProcId>>> incumbent;
   std::unique_ptr<Transport> transport;
 
-  /// 0 none, 1 expansions, 2 time, 3 cancelled, 4 memory.
-  std::atomic<int> abort_reason{0};
+  /// The limit that stopped a PPE; kOptimal while none has.
+  std::atomic<core::Termination> abort_reason{core::Termination::kOptimal};
   std::atomic<std::uint64_t> total_expanded{0};
   util::Timer timer;
 
@@ -136,7 +136,7 @@ class Ppe final : public PpeHost {
   StepAction classify(StateIndex idx) {
     const core::HotState& s = arena_.hot(idx);
     if (s.depth() == shared_.problem.num_nodes()) return StepAction::kGoal;
-    if (exact() && s.f >= shared_.incumbent_bound() - 1e-9)
+    if (exact() && core::dominated(s.f, shared_.incumbent_bound(), 0.0, false))
       return StepAction::kSkip;  // stale
     return StepAction::kExpand;
   }
@@ -176,10 +176,8 @@ class Ppe final : public PpeHost {
 
   /// Is this PPE's frontier unable to improve on the incumbent?
   bool dominated() const override {
-    const double inc = shared_.incumbent_bound();
-    const double fmin = open_.min_f();
-    if (exact()) return fmin >= inc - 1e-9;
-    return inc <= (1.0 + shared_.config.search.epsilon) * fmin + 1e-9;
+    return core::dominated(open_.min_f(), shared_.incumbent_bound(),
+                           shared_.config.search.epsilon, false);
   }
 
   StateIndex pop_best() override { return open_.pop().index; }
@@ -275,9 +273,9 @@ class Ppe final : public PpeHost {
   }
 
   double prune_bound() const {
-    if (shared_.config.search.prune.strict_upper_bound)
-      return shared_.problem.upper_bound();
-    return shared_.incumbent_bound();
+    return core::prune_bound(shared_.config.search.prune,
+                             shared_.problem.upper_bound(),
+                             shared_.incumbent_bound());
   }
 
   std::vector<std::pair<NodeId, ProcId>> assignment_sequence(
@@ -388,15 +386,7 @@ void Ppe::run() {
   KernelGuard guard(cfg.controls, limits, shared_.timer, /*poll_period=*/64);
 
   if (const auto hit = core::run_search_loop(guard, *this)) {
-    int code = 0;
-    switch (*hit) {
-      case core::Termination::kExpansionLimit: code = 1; break;
-      case core::Termination::kTimeLimit: code = 2; break;
-      case core::Termination::kCancelled: code = 3; break;
-      case core::Termination::kMemoryLimit: code = 4; break;
-      default: break;
-    }
-    shared_.abort_reason.store(code);
+    shared_.abort_reason.store(*hit);
     shared_.done.store(true);
   }
   link_->publish(open_.min_f(), open_.size());
@@ -464,6 +454,44 @@ std::uint32_t measure_effective_ppes(const SearchProblem& problem,
 
 }  // namespace
 
+ParallelResult assemble_result(
+    const SearchProblem& problem, const ParallelConfig& config,
+    const std::vector<std::pair<NodeId, ProcId>>& incumbent,
+    core::Termination stop) {
+  ParallelResult out{
+      core::SearchResult{sched::Schedule(problem.graph(), problem.machine(),
+                                         problem.comm()),
+                         0.0, false, 1.0, stop, {}},
+      {}};
+  if (incumbent.empty()) {
+    // No goal beat the initial incumbent; that bound came from the static
+    // upper-bound schedule or the warm-start seed, whichever was tighter.
+    if (config.seed_schedule &&
+        config.seed_schedule->makespan() <= problem.upper_bound())
+      out.result.schedule = *config.seed_schedule;
+    else
+      out.result.schedule = problem.upper_bound_schedule();
+  } else {
+    for (const auto& [n, p] : incumbent) out.result.schedule.append(n, p);
+  }
+  sched::validate(out.result.schedule);
+  out.result.makespan = out.result.schedule.makespan();
+  if (stop != core::Termination::kOptimal) return out;  // a limit: unproved
+
+  const double eps = config.search.epsilon;
+  if (config.naive_termination) {
+    // First-goal termination has no quality guarantee (kept for fidelity).
+    out.result.reason = core::Termination::kBoundedOptimal;
+    out.result.bound_factor = kInf;
+  } else {
+    out.result.proved_optimal = true;
+    out.result.bound_factor = 1.0 + eps;
+    out.result.reason = eps == 0.0 ? core::Termination::kOptimal
+                                   : core::Termination::kBoundedOptimal;
+  }
+  return out;
+}
+
 ParallelResult parallel_astar_schedule(const SearchProblem& problem,
                                        const ParallelConfig& config) {
   OPTSCHED_REQUIRE(config.num_ppes >= 1, "need at least one PPE");
@@ -499,53 +527,9 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
     for (auto& t : threads) t.join();
   }
 
-  // Assemble the result from the shared incumbent.
-  ParallelResult out{
-      core::SearchResult{sched::Schedule(problem.graph(), problem.machine(),
-                                         problem.comm()),
-                         0.0, false, 1.0, core::Termination::kOptimal, {}},
-      {}};
-  {
-    const auto [len, seq] = shared.incumbent.snapshot();
-    (void)len;  // the schedule recomputes its makespan exactly
-    if (seq.empty()) {
-      // No goal beat the initial incumbent; that bound came from the
-      // static upper-bound schedule or the warm-start seed, whichever
-      // was tighter.
-      if (config.seed_schedule &&
-          config.seed_schedule->makespan() <= problem.upper_bound())
-        out.result.schedule = *config.seed_schedule;
-      else
-        out.result.schedule = problem.upper_bound_schedule();
-    } else {
-      for (const auto& [n, p] : seq) out.result.schedule.append(n, p);
-    }
-  }
-  sched::validate(out.result.schedule);
-  out.result.makespan = out.result.schedule.makespan();
-
-  const int abort_reason = shared.abort_reason.load();
-  const double eps = config.search.epsilon;
-  if (abort_reason == 1) {
-    out.result.reason = core::Termination::kExpansionLimit;
-  } else if (abort_reason == 2) {
-    out.result.reason = core::Termination::kTimeLimit;
-  } else if (abort_reason == 3) {
-    out.result.reason = core::Termination::kCancelled;
-  } else if (abort_reason == 4) {
-    out.result.reason = core::Termination::kMemoryLimit;
-  } else if (config.naive_termination) {
-    // First-goal termination has no quality guarantee (kept for fidelity).
-    out.result.reason = core::Termination::kBoundedOptimal;
-    out.result.proved_optimal = false;
-    out.result.bound_factor = kInf;
-  } else {
-    out.result.proved_optimal = true;
-    out.result.bound_factor = 1.0 + eps;
-    out.result.reason = eps == 0.0 ? core::Termination::kOptimal
-                                   : core::Termination::kBoundedOptimal;
-  }
-
+  ParallelResult out =
+      assemble_result(problem, config, shared.incumbent.snapshot().second,
+                      shared.abort_reason.load());
   for (const auto& ppe : ppes) {
     core::SearchStats s;
     static_cast<core::ExpandStats&>(s) = ppe->stats();

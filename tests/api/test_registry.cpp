@@ -144,6 +144,8 @@ TEST(Registry, BadOptionValueRaisesInvalidRequest) {
   EXPECT_THROW(solve("parallel", request), InvalidRequest);
   request.options["ppes"] = "0";
   EXPECT_THROW(solve("parallel", request), InvalidRequest);
+  request.options = {{"queue", "bucket"}};  // queue values are auto|heap
+  EXPECT_THROW(solve("astar", request), InvalidRequest);
 }
 
 // The IDA* exact-only constraint surfaces as a structured invalid-argument

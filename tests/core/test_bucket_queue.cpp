@@ -492,12 +492,6 @@ TEST(ChooseQueue, AutoNeverSelectsBucketWhenScaleCheckFails) {
   const QueueChoice choice = choose_queue(problem, config);
   EXPECT_FALSE(choice.use_bucket);
   EXPECT_STREQ(choice.fallback, "granularity");
-
-  // queue=bucket cannot override soundness: still the heap, same reason.
-  config.queue = QueueSelect::kBucket;
-  const QueueChoice forced = choose_queue(problem, config);
-  EXPECT_FALSE(forced.use_bucket);
-  EXPECT_STREQ(forced.fallback, "granularity");
 }
 
 TEST(ChooseQueue, ExplicitHeapIsNotAFallback) {

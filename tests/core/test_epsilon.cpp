@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/astar.hpp"
+#include "core/search_kernel.hpp"
 #include "dag/generators.hpp"
 
 namespace optsched::core {
@@ -86,6 +87,39 @@ TEST(Epsilon, ReportsBoundedOptimalWhenNotExact) {
     EXPECT_TRUE(r.reason == Termination::kOptimal ||
                 r.reason == Termination::kExpansionLimit);
   }
+}
+
+// The incumbent rule every engine proves with (core::dominated), two
+// tolerances either side of the incumbent and of the (1+eps) edge.
+TEST(Epsilon, DominanceTestTable) {
+  constexpr double inc = 120.0;
+  constexpr double tol = 1e-9;
+  const struct {
+    double f, eps;
+    bool strict, dominated;
+  } rows[] = {
+      // epsilon 0: incumbent <= f + tol; strict: f > incumbent + tol.
+      {inc - 2 * tol, 0.0, false, false},
+      {inc, 0.0, false, true},
+      {inc + 2 * tol, 0.0, false, true},
+      {inc - 2 * tol, 0.0, true, false},
+      {inc, 0.0, true, false},
+      {inc + 2 * tol, 0.0, true, true},
+      // epsilon 0.2: incumbent <= 1.2 f + tol, strict or not.
+      {inc - 2 * tol, 0.2, false, true},
+      {inc, 0.2, false, true},
+      {inc + 2 * tol, 0.2, false, true},
+      {inc - 2 * tol, 0.2, true, true},
+      {inc, 0.2, true, true},
+      {inc + 2 * tol, 0.2, true, true},
+      {inc / 1.2 - 2 * tol, 0.2, false, false},
+      {inc / 1.2, 0.2, false, true},
+      {inc / 1.2 + 2 * tol, 0.2, false, true},
+      {inc / 1.2 - 2 * tol, 0.2, true, false},
+  };
+  for (const auto& r : rows)
+    EXPECT_EQ(dominated(r.f, inc, r.eps, r.strict), r.dominated)
+        << "f=" << r.f << " eps=" << r.eps << " strict=" << r.strict;
 }
 
 TEST(Epsilon, ZeroEpsilonIsPlainAStar) {

@@ -37,7 +37,7 @@ TEST_P(QueueDifferential, BucketMatchesHeapBitForBit) {
     heap_cfg.h = h;
     heap_cfg.queue = core::QueueSelect::kHeap;
     core::SearchConfig bucket_cfg = heap_cfg;
-    bucket_cfg.queue = core::QueueSelect::kBucket;
+    bucket_cfg.queue = core::QueueSelect::kAuto;  // bucket where admissible
 
     const core::SearchResult hr = core::astar_schedule(problem, heap_cfg);
     const core::SearchResult br = core::astar_schedule(problem, bucket_cfg);
@@ -56,13 +56,6 @@ TEST_P(QueueDifferential, BucketMatchesHeapBitForBit) {
     if (choice.use_bucket) {
       EXPECT_GT(br.stats.bucket_peak, 0u);
     }
-
-    // auto reproduces whichever structure choose_queue picked.
-    core::SearchConfig auto_cfg = heap_cfg;
-    auto_cfg.queue = core::QueueSelect::kAuto;
-    const core::SearchResult ar = core::astar_schedule(problem, auto_cfg);
-    EXPECT_EQ(ar.makespan, hr.makespan);
-    EXPECT_EQ(ar.stats.expanded, hr.stats.expanded);
   }
 }
 
@@ -79,7 +72,7 @@ TEST_P(QueueDifferential, ParallelBucketMatchesHeapMakespan) {
     request.options["mode"] = mode;
     request.options["queue"] = "heap";
     const api::SolveResult hr = api::solve("parallel", request);
-    request.options["queue"] = "bucket";
+    request.options["queue"] = "auto";
     const api::SolveResult br = api::solve("parallel", request);
     EXPECT_EQ(hr.makespan, br.makespan) << GetParam() << " mode=" << mode;
     EXPECT_TRUE(hr.proved_optimal);
@@ -98,16 +91,11 @@ TEST(QueueAutoFallback, NonRepresentableInstanceFallsBackToHeap) {
                                     instance.comm);
   EXPECT_FALSE(problem.key_scale().exact);
 
-  for (const core::QueueSelect q :
-       {core::QueueSelect::kAuto, core::QueueSelect::kBucket}) {
-    core::SearchConfig config;
-    config.queue = q;
-    const core::SearchResult r = core::astar_schedule(problem, config);
-    EXPECT_STREQ(r.stats.queue_kind, "heap");
-    EXPECT_STREQ(r.stats.queue_fallback, "granularity");
-    EXPECT_EQ(r.stats.bucket_peak, 0u);
-    EXPECT_TRUE(r.proved_optimal);
-  }
+  const core::SearchResult r = core::astar_schedule(problem);
+  EXPECT_STREQ(r.stats.queue_kind, "heap");
+  EXPECT_STREQ(r.stats.queue_fallback, "granularity");
+  EXPECT_EQ(r.stats.bucket_peak, 0u);
+  EXPECT_TRUE(r.proved_optimal);
 }
 
 /// The PR-4 scenario families crossed with comm modes and machine shapes.

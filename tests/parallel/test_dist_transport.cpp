@@ -149,7 +149,7 @@ TEST(DistProtocol, MachineRoundTripsThroughJson) {
 
 TEST(DistProtocol, SearchConfigRoundTripsThroughJson) {
   core::SearchConfig config;
-  config.queue = core::QueueSelect::kBucket;
+  config.queue = core::QueueSelect::kHeap;
   config.epsilon = 0.25;
   const auto back = search_config_from_json(search_config_to_json(config));
   EXPECT_EQ(back.queue, config.queue);
