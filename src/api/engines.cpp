@@ -67,15 +67,6 @@ std::int64_t opt_int(const Options& options, const std::string& engine,
   return v;
 }
 
-bool opt_bool(const Options& options, const std::string& engine,
-              const std::string& key, bool fallback) {
-  const auto it = options.find(key);
-  if (it == options.end()) return fallback;
-  if (it->second == "1" || it->second == "true") return true;
-  if (it->second == "0" || it->second == "false") return false;
-  bad_option(engine, key, it->second, "0|1|true|false");
-}
-
 core::PruneConfig opt_prune(const Options& options,
                             const std::string& engine) {
   const auto it = options.find("prune");
@@ -84,15 +75,6 @@ core::PruneConfig opt_prune(const Options& options,
   if (it->second == "none") return core::PruneConfig::none();
   if (it->second == "paper") return core::PruneConfig::paper();
   bad_option(engine, "prune", it->second, "all|none|paper");
-}
-
-core::QueueSelect opt_queue(const Options& options,
-                            const std::string& engine) {
-  const auto it = options.find("queue");
-  if (it == options.end()) return core::QueueSelect::kAuto;
-  if (it->second == "auto") return core::QueueSelect::kAuto;
-  if (it->second == "heap") return core::QueueSelect::kHeap;
-  bad_option(engine, "queue", it->second, "auto|heap");
 }
 
 core::HFunction opt_h(const Options& options, const std::string& engine) {
@@ -150,11 +132,8 @@ class AStarSolver : public Solver {
     core::SearchConfig config = base_search_config(request);
     config.prune = opt_prune(request.options, name_);
     config.h = opt_h(request.options, name_);
-    config.queue = opt_queue(request.options, name_);
     config.epsilon =
         opt_double(request.options, name_, "epsilon", epsilon_default_);
-    config.incumbent_updates =
-        opt_bool(request.options, name_, "incumbent", true);
     if (config.epsilon < 0)
       throw InvalidRequest("engine '" + name_ + "': epsilon must be >= 0");
     std::optional<core::SearchProblem> storage;
@@ -197,20 +176,8 @@ class ParallelSolver : public Solver {
     config.search.epsilon =
         opt_double(request.options, "parallel", "epsilon", 0.0);
     config.search.h = opt_h(request.options, "parallel");
-    config.search.queue = opt_queue(request.options, "parallel");
     config.num_ppes = static_cast<std::uint32_t>(
         opt_int(request.options, "parallel", "ppes", 4, /*min_value=*/1));
-    config.min_period = static_cast<std::uint32_t>(opt_int(
-        request.options, "parallel", "min-period", 2, /*min_value=*/1));
-    config.steal_batch = static_cast<std::uint32_t>(opt_int(
-        request.options, "parallel", "steal-batch", 8, /*min_value=*/1));
-    const std::int64_t shards = opt_int(
-        request.options, "parallel", "shards", 0, /*min_value=*/0);
-    if (shards > (1 << 16))
-      bad_option("parallel", "shards", std::to_string(shards), "<= 65536");
-    config.shards = static_cast<std::uint32_t>(shards);
-    config.naive_termination =
-        opt_bool(request.options, "parallel", "naive-term", false);
     const auto mode = request.options.find("mode");
     if (mode != request.options.end()) {
       if (mode->second == "ring")
@@ -223,7 +190,7 @@ class ParallelSolver : public Solver {
         bad_option("parallel", "mode", mode->second, "ring|ws|dist");
     }
     // Distributed mode: `procs` (worker *processes*) is its spelling of
-    // the worker count; it is exact-only and always sound-terminating.
+    // the worker count; it is exact-only.
     if (request.options.count("procs")) {
       if (config.mode != par::TransportMode::kDistributed)
         throw InvalidRequest(
@@ -232,16 +199,11 @@ class ParallelSolver : public Solver {
       config.num_ppes = static_cast<std::uint32_t>(
           opt_int(request.options, "parallel", "procs", 4, /*min_value=*/1));
     }
-    if (config.mode == par::TransportMode::kDistributed) {
-      if (config.search.epsilon != 0.0)
-        throw InvalidRequest(
-            "engine 'parallel': mode=dist supports exact search only "
-            "(epsilon must be 0)");
-      if (config.naive_termination)
-        throw InvalidRequest(
-            "engine 'parallel': mode=dist always uses sound termination "
-            "(drop naive-term)");
-    }
+    if (config.mode == par::TransportMode::kDistributed &&
+        config.search.epsilon != 0.0)
+      throw InvalidRequest(
+          "engine 'parallel': mode=dist supports exact search only "
+          "(epsilon must be 0)");
     const auto it = request.options.find("topology");
     if (it != request.options.end()) {
       if (it->second == "ring")
@@ -262,19 +224,16 @@ class ParallelSolver : public Solver {
     // abort a search that never had a chance.
     if (config.mode == par::TransportMode::kWorkStealing &&
         request.limits.max_memory_bytes > 0) {
-      const std::uint32_t effective_shards =
-          config.shards > 0 ? config.shards
-                            : std::min(4 * config.num_ppes, 4096u);
+      const std::uint32_t shards = par::ws_shard_count(config.num_ppes);
       const std::size_t fixed =
-          par::ShardedSignatureTable::estimate_bytes(effective_shards);
+          par::ShardedSignatureTable::estimate_bytes(shards);
       if (fixed > request.limits.max_memory_bytes)
         throw InvalidRequest(
             "engine 'parallel': the dedup table's fixed allocation (" +
-            std::to_string(fixed) + " bytes for " +
-            std::to_string(effective_shards) +
+            std::to_string(fixed) + " bytes for " + std::to_string(shards) +
             " shards) exceeds max_memory_bytes (" +
             std::to_string(request.limits.max_memory_bytes) +
-            "); lower shards or raise the budget");
+            "); lower ppes or raise the budget");
     }
     // Warm-start (SolveSession re-solve): the parallel engine reuses no
     // arena states, but a seeded incumbent prunes from expansion one.
@@ -316,8 +275,6 @@ class ChenYuSolver : public Solver {
     config.controls.cancel = request.cancel;
     config.controls.progress = request.progress;
     config.controls.progress_every = request.progress_every;
-    config.max_paths_per_eval = static_cast<std::size_t>(opt_int(
-        request.options, "chenyu", "max-paths", 4096, /*min_value=*/0));
     const core::SearchProblem problem(*request.graph, *request.machine,
                                       request.comm);
     bnb::ChenYuResult r = bnb::chen_yu_schedule(problem, config);
@@ -376,9 +333,6 @@ class HeuristicSolver : public Solver {
 const std::vector<OptionSpec> kAStarOptions = {
     {"h", "heuristic function: zero|paper|path|composite"},
     {"prune", "pruning preset: all|none|paper"},
-    {"incumbent", "anytime incumbent updates: 0|1 (default 1)"},
-    {"queue", "OPEN list: auto|heap (default auto — bucket when the "
-              "instance's f values fit an exact fixed-point grid, else heap)"},
 };
 
 std::vector<OptionSpec> with_epsilon(std::vector<OptionSpec> options,
@@ -427,22 +381,13 @@ void register_builtin_engines(SolverRegistry& registry) {
         {"procs", "dist mode: worker process count (default 4)"},
         {"epsilon", "approximation factor (default 0 = exact)"},
         {"h", "heuristic function: zero|paper|path|composite"},
-        {"topology", "ring mode: PPE interconnect: ring|mesh|clique"},
-        {"min-period",
-         "ring mode: minimum expansions between comm rounds (default 2)"},
-        {"steal-batch", "ws mode: donation/steal batch size (default 8)"},
-        {"shards",
-         "ws mode: dedup-table shard count, <= 65536 (default 0 = 4x ppes); "
-         "the table's fixed allocation is checked against max_memory_bytes "
-         "up front"},
-        {"queue", "per-PPE OPEN list: auto|heap (default auto)"},
-        {"naive-term", "paper's first-goal termination: 0|1 (default 0)"}},
+        {"topology", "ring mode: PPE interconnect: ring|mesh|clique"}},
        [] { return std::make_unique<ParallelSolver>(); }});
   registry.add(
       {"chenyu",
        "Chen & Yu branch-and-bound baseline (Table 1) — optimal but slow",
        {.optimal = true, .anytime = true, .parallel = false, .bounded = false},
-       {{"max-paths", "path-enumeration cap per underestimate (default 4096)"}},
+       {},
        [] { return std::make_unique<ChenYuSolver>(); }});
   registry.add(
       {"exhaustive",

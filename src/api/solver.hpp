@@ -44,7 +44,7 @@ std::pair<std::string, Options> parse_engine_spec(const std::string& spec);
 /// Canonical form of an engine spec: round-trips parse_engine_spec and
 /// re-serializes as "name[:k=v...]" with options sorted by key and every
 /// numeric value normalized to its shortest exact form — so
-/// "ws:steal-batch=08" and "ws:steal-batch=8", or "aeps:epsilon=0.20"
+/// "parallel:ppes=08" and "parallel:ppes=8", or "aeps:epsilon=0.20"
 /// and "aeps:epsilon=0.2", canonicalize identically. This is the engine
 /// half of the server's result-cache key (server/result_cache.hpp): two
 /// specs with equal canonical forms configure bit-identical solves.

@@ -11,7 +11,6 @@
 
 namespace optsched::bnb {
 
-using core::kNoParent;
 using core::OpenEntry;
 using core::OpenList;
 using core::SearchProblem;
@@ -23,6 +22,10 @@ using dag::NodeId;
 using machine::ProcId;
 
 namespace {
+
+/// Path-enumeration cap per underestimate: beyond it the evaluation falls
+/// back to the g-only bound (chen_yu_underestimate).
+constexpr std::size_t kMaxPathsPerEval = 4096;
 
 /// DP over (path position, processor): minimal finish time of the last
 /// path node, given path[0] = the just-scheduled node fixed on `proc`
@@ -82,11 +85,8 @@ struct ChenYuPolicy {
                ChenYuResult& r)
       : problem(p), config(c), result(r), ctx(p), seen(arena, 1 << 12) {
     ctx.set_stats(&result.stats);
-    State root;
-    root.sig = core::root_signature();
-    root.parent = kNoParent;
-    const StateIndex root_idx = arena.add(root);
-    seen.insert(core::root_signature(), root_idx);
+    const StateIndex root_idx = arena.add_root();
+    seen.insert(arena.sig(root_idx), root_idx);
     open.push({0.0, 0.0, root_idx});
   }
 
@@ -137,8 +137,7 @@ struct ChenYuPolicy {
         const double g = std::max(ctx.g(), ft);
 
         const double lb = std::max(
-            g, chen_yu_underestimate(problem, n, p, ft,
-                                     config.max_paths_per_eval,
+            g, chen_yu_underestimate(problem, n, p, ft, kMaxPathsPerEval,
                                      &result.paths_evaluated));
 
         const util::Key128 sig = core::extend_signature(parent_sig, n, p, ft);

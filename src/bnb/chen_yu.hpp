@@ -16,8 +16,8 @@
 // Kwok & Ahmad's point, which Table 1 quantifies, is that this per-state
 // cost dominates the runtime even though the bound itself is reasonable;
 // our reimplementation preserves exactly that property. Path enumeration
-// is capped (`max_paths_per_eval`); beyond the cap the evaluation falls
-// back to the g-only bound, which keeps the bound admissible.
+// is capped at 4096 paths per evaluation; beyond the cap the evaluation
+// falls back to the g-only bound, which keeps the bound admissible.
 #pragma once
 
 #include "core/astar.hpp"
@@ -29,7 +29,6 @@ struct ChenYuConfig {
   std::uint64_t max_expansions = 0;   ///< 0 = unlimited
   double time_budget_ms = 0.0;        ///< 0 = unlimited
   std::size_t max_memory_bytes = 0;   ///< 0 = unlimited
-  std::size_t max_paths_per_eval = 4096;
   core::SearchControls controls{};    ///< cancellation + progress
 };
 

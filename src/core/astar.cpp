@@ -12,16 +12,6 @@ namespace optsched::core {
 
 namespace {
 
-State make_root() {
-  State root;
-  root.sig = root_signature();
-  root.parent = kNoParent;
-  root.depth = 0;
-  root.g = 0.0;
-  root.h = 0.0;
-  return root;
-}
-
 /// Bookkeeping of one serial solve: arena, CLOSED, incumbent, warm record.
 struct SearchDriver {
   explicit SearchDriver(const SearchProblem& p, const SearchConfig& c,
@@ -222,7 +212,7 @@ struct AStarPolicy {
 /// this run ends without expanding it a stale kExpanded would otherwise
 /// claim arena children that later compactions may have dropped.
 void seed_frontier(SearchDriver& d, Frontier& open) {
-  if (d.arena.size() == 0) d.arena.add(make_root());
+  if (d.arena.size() == 0) d.arena.add_root();
   if (d.warm) {
     d.flags.resize(d.arena.size(), 0);
     d.bounds.resize(d.arena.size(), 0.0);
@@ -314,7 +304,7 @@ std::size_t retain_clean(SearchDriver& d, WarmStart& warm) {
     const HotState& hs = old.hot(i);
     State s;
     if (hs.is_root()) {
-      s = make_root();
+      s = root_state();
     } else {
       const dag::NodeId n = hs.node();
       if (n == dag::kInvalidNode || warm.dirty_nodes[n]) continue;
@@ -363,7 +353,7 @@ SearchResult astar_schedule(const SearchProblem& problem,
     // expansion record is wiped: no seeding pass ran, so nothing verified
     // that recorded expansions still have their children in the arena.
     {
-      if (driver.arena.size() == 0) driver.arena.add(make_root());
+      if (driver.arena.size() == 0) driver.arena.add_root();
       const double root_lb = driver.expander.state_h(driver.arena, 0);
       if (dominated(root_lb, driver.incumbent_len, 0.0, false)) {
         warm->instant_proof = true;

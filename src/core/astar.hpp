@@ -39,8 +39,8 @@ struct SearchStats : ExpandStats {
   /// OPEN list actually used: "bucket", "heap", "focal" (Aε* FOCAL set),
   /// or "" for engines without an OPEN list (IDA*, heuristics).
   const char* queue_kind = "";
-  /// Why the bucket queue was not used when queue=auto asked for it
-  /// ("" when it was, or when queue=heap chose the heap explicitly).
+  /// Why the bucket queue was not used when kAuto asked for it
+  /// ("" when it was, or when kHeap chose the heap explicitly).
   const char* queue_fallback = "";
   /// Widest f-key span the bucket queue ever held (0 on the heap path);
   /// max across PPEs for the parallel engine.

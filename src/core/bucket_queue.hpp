@@ -24,7 +24,7 @@
 //
 // Construction requires an exact KeyScale and a bucket span within
 // kMaxBuckets; `admissible()` reports why an instance/config cannot use
-// the bucket queue so `queue=auto` can fall back to the heap.
+// the bucket queue so `QueueSelect::kAuto` can fall back to the heap.
 #pragma once
 
 #include <algorithm>
@@ -284,7 +284,7 @@ class BucketQueue {
 /// Outcome of OPEN-list selection for one (instance, config) pair.
 struct QueueChoice {
   bool use_bucket = false;
-  /// Why the bucket queue was rejected; "" when chosen, or when queue=heap
+  /// Why the bucket queue was rejected; "" when chosen, or when kHeap
   /// picked the heap explicitly (no fallback happened).
   const char* fallback = "";
   double max_f = 0.0;  ///< f bound the bucket array is sized for
@@ -294,7 +294,7 @@ struct QueueChoice {
 /// exact fixed-point key scale for the instance, epsilon == 0 (FOCAL uses
 /// its own set; that reason is reported first), a finite f bound whose
 /// key span fits kMaxBuckets, and — for kComposite — the W/(p *
-/// max_speed) workload atom on the grid. queue=heap skips the checks
+/// max_speed) workload atom on the grid. kHeap skips the checks
 /// entirely.
 QueueChoice choose_queue(const SearchProblem& problem,
                          const SearchConfig& config);

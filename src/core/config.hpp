@@ -62,7 +62,8 @@ struct SearchConfig {
   HFunction h = HFunction::kPaper;
 
   /// OPEN list selection (see QueueSelect). Pop order is identical either
-  /// way, so results are bit-identical; this is purely a speed knob.
+  /// way, so results are bit-identical. Engines always run kAuto; kHeap is
+  /// the reference the differential suite compares it against.
   QueueSelect queue = QueueSelect::kAuto;
 
   /// Aε* (paper §3.4): when > 0, expand from the FOCAL list

@@ -14,6 +14,7 @@
 // through one Frontier op sequence.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -80,7 +81,9 @@ class Frontier {
     switch (kind_) {
       case Kind::kBucket: bucket_->push({e.f, e.g, e.index}); break;
       case Kind::kHeap: heap_.push({e.f, e.g, e.index}); break;
-      default: focal_.insert(e);
+      default:
+        focal_.insert(e);
+        focal_peak_ = std::max(focal_peak_, focal_.size());
     }
   }
 
@@ -165,16 +168,17 @@ class Frontier {
   }
 
   /// Entry storage, O(1): heap capacity, the bucket queue's running sum,
-  /// or a node estimate for the FOCAL set.
+  /// or a node estimate for the FOCAL set at its peak entry count. Like
+  /// the other two it never falls, so its end-of-search value is the peak.
   std::size_t memory_bytes() const noexcept {
     return (bucket_ ? bucket_->memory_bytes() : 0) + heap_.memory_bytes() +
-           focal_.size() * sizeof(Entry) * 3;
+           focal_peak_ * kFocalNodeBytes;
   }
 
   /// memory_bytes() recounted from scratch — tests check the sum with it.
   std::size_t recount_memory_bytes() const noexcept {
     return (bucket_ ? bucket_->recount_memory_bytes() : 0) +
-           heap_.memory_bytes() + focal_.size() * sizeof(Entry) * 3;
+           heap_.memory_bytes() + focal_peak_ * kFocalNodeBytes;
   }
 
   /// Widest live bucket-key span observed (0 for the heap and FOCAL).
@@ -183,7 +187,7 @@ class Frontier {
   }
 
   /// The structure in use ("heap", "bucket" or "focal"), and why the
-  /// bucket queue was not chosen ("" when it was, or for queue=heap).
+  /// bucket queue was not chosen ("" when it was, or for kHeap).
   const char* queue_kind() const noexcept {
     switch (kind_) {
       case Kind::kBucket: return "bucket";
@@ -195,6 +199,9 @@ class Frontier {
 
  private:
   enum class Kind : std::uint8_t { kHeap, kBucket, kFocal };
+
+  /// Estimated bytes of one FOCAL set node (entry plus tree links).
+  static constexpr std::size_t kFocalNodeBytes = sizeof(Entry) * 3;
 
   /// FOCAL set order: (f asc, g desc, index asc), OpenList's order.
   struct FocalOrder {
@@ -211,6 +218,7 @@ class Frontier {
   std::optional<BucketQueue> bucket_;
   OpenList heap_;
   std::set<Entry, FocalOrder> focal_;
+  std::size_t focal_peak_ = 0;  ///< most FOCAL entries ever held at once
 };
 
 }  // namespace optsched::core

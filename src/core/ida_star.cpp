@@ -73,10 +73,7 @@ struct IdaPolicy {
     stack_max.clear();
     arena.clear();
     expander.invalidate_context();
-    State root;
-    root.sig = root_signature();
-    root.parent = kNoParent;
-    push(arena.add(root));
+    push(arena.add_root());
   }
 
   bool keep_searching() const { return !found; }

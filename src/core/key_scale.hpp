@@ -24,7 +24,7 @@
 //
 // When any atom needs a finer grid than 2^-kMaxShift the instance is
 // reported non-representable and engines fall back to the heap
-// (queue=auto never selects the bucket queue on such instances).
+// (kAuto never selects the bucket queue on such instances).
 #pragma once
 
 #include <cmath>

@@ -34,6 +34,7 @@
 #include <utility>
 
 #include "dag/graph.hpp"
+#include "core/signature.hpp"
 #include "machine/machine.hpp"
 #include "util/assert.hpp"
 #include "util/flat_set.hpp"
@@ -64,6 +65,13 @@ struct State {
   double f() const noexcept { return g + h; }
   bool is_root() const noexcept { return parent == kNoParent && depth == 0; }
 };
+
+/// The empty partial schedule: the root of every search, with f = g = 0.
+inline State root_state() noexcept {
+  State root;
+  root.sig = root_signature();
+  return root;
+}
 
 /// Resident per-state record of the search loop. Exactly 24 bytes.
 struct HotState {
@@ -152,6 +160,9 @@ class StateArena {
     ++size_;
     return idx;
   }
+
+  /// Append the root state (root_state()); returns its index.
+  StateIndex add_root() { return add(root_state()); }
 
   const HotState& hot(StateIndex i) const {
     OPTSCHED_ASSERT(i < size_);

@@ -50,7 +50,6 @@
 #include "core/expansion.hpp"
 #include "core/frontier.hpp"
 #include "core/search_kernel.hpp"
-#include "core/signature.hpp"
 #include "parallel/dist_protocol.hpp"
 #include "parallel/replay.hpp"
 #include "parallel/wire.hpp"
@@ -68,7 +67,6 @@ namespace {
 
 using core::Expander;
 using core::KernelGuard;
-using core::kNoParent;
 using core::SearchProblem;
 using core::State;
 using core::StateArena;
@@ -327,12 +325,9 @@ class DistWorker {
     // with it. Everyone else starts idle and gets fed through imports.
     // (The root's abstract key is 0, which maps to an arbitrary rank —
     // there is no coordinator-side seed expansion.)
-    State root;
-    root.sig = core::root_signature();
-    root.parent = kNoParent;
-    const StateIndex root_idx = arena_.add(root);
+    const StateIndex root_idx = arena_.add_root();
     if (owner_->owner(0) == rank_) {
-      seen_.insert(root.sig);
+      seen_.insert(arena_.sig(root_idx));
       open_->push({arena_.hot(root_idx).f, 0.0, 0.0, root_idx});
       max_open_ = open_->size();  // the root counts, as in serial A*
     }
@@ -1032,8 +1027,6 @@ ParallelResult dist_astar_schedule(const SearchProblem& problem,
                                    const ParallelConfig& config) {
   OPTSCHED_REQUIRE(config.search.epsilon == 0.0,
                    "mode=dist supports exact search only (epsilon = 0)");
-  OPTSCHED_REQUIRE(!config.naive_termination,
-                   "mode=dist always uses sound termination");
   DistCoordinator coordinator(problem, config);
   return coordinator.run();
 }

@@ -9,9 +9,9 @@
 #include "core/frontier.hpp"
 #include "core/open_list.hpp"
 #include "core/search_kernel.hpp"
-#include "core/signature.hpp"
 #include "parallel/dist_transport.hpp"
 #include "parallel/replay.hpp"
+#include "parallel/ws_transport.hpp"
 #include "util/timer.hpp"
 
 namespace optsched::par {
@@ -34,6 +34,46 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The deterministic seed expansion: best-first from a fresh root at arena
+/// index 0 until the frontier holds `target` states, the space is
+/// exhausted, or `max_pops` pops were made. Children are pruned against
+/// `bound`; complete schedules go to `on_goal(index)` and never enter the
+/// frontier. Returns the frontier in the total order (f, -g, arena index).
+template <typename Seen, typename OnGoal>
+std::vector<OpenEntry> seed_expand(const SearchProblem& problem,
+                                   Expander& expander, StateArena& arena,
+                                   Seen& seen, double bound,
+                                   std::size_t target, std::size_t max_pops,
+                                   OnGoal&& on_goal) {
+  const StateIndex root = arena.add_root();
+  OPTSCHED_ASSERT(root == 0);  // imports hang below it (Importer)
+  seen.insert(arena.sig(root));
+
+  OpenList frontier;
+  frontier.push({arena.hot(root).f, 0.0, root});
+  for (std::size_t pops = 0;
+       !frontier.empty() && frontier.size() < target && pops < max_pops;
+       ++pops) {
+    const OpenEntry e = frontier.pop();
+    if (arena.hot(e.index).depth() == problem.num_nodes()) {
+      on_goal(e.index);
+      continue;
+    }
+    expander.expand(arena, seen, e.index, bound,
+                    [&](StateIndex idx, const State& child) {
+                      if (child.depth == problem.num_nodes()) {
+                        on_goal(idx);
+                        return;
+                      }
+                      frontier.push({child.f(), child.g, idx});
+                    });
+  }
+
+  std::vector<OpenEntry> entries;
+  while (!frontier.empty()) entries.push_back(frontier.pop());
+  return entries;
+}
+
 struct Shared {
   Shared(const SearchProblem& p, const ParallelConfig& c)
       : problem(p),
@@ -51,13 +91,6 @@ struct Shared {
   std::atomic<core::Termination> abort_reason{core::Termination::kOptimal};
   std::atomic<std::uint64_t> total_expanded{0};
   util::Timer timer;
-
-  /// Register a complete schedule; keeps the best across all PPEs.
-  void offer_incumbent(double len,
-                       std::vector<std::pair<NodeId, ProcId>> seq) {
-    if (incumbent.offer(len, std::move(seq)) && config.naive_termination)
-      done.store(true);
-  }
 
   double incumbent_bound() const { return incumbent.bound(); }
 
@@ -141,8 +174,9 @@ class Ppe final : public PpeHost {
     return StepAction::kExpand;
   }
 
+  /// A complete schedule: offer it to the incumbent shared by all PPEs.
   void on_goal(StateIndex idx) {
-    shared_.offer_incumbent(arena_.hot(idx).g, assignment_sequence(idx));
+    shared_.incumbent.offer(arena_.hot(idx).g, assignment_sequence(idx));
   }
 
   void expand(StateIndex idx) {
@@ -218,7 +252,8 @@ class Ppe final : public PpeHost {
     for (const StateMsg& msg : msgs) {
       const SequenceReplay::Step& last = importer_.replay(msg);
       if (msg.assignments.size() == shared_.problem.num_nodes()) {
-        shared_.offer_incumbent(last.g, msg.assignments);
+        auto seq = msg.assignments;
+        shared_.incumbent.offer(last.g, std::move(seq));
         continue;
       }
       link_->record_signature(last.sig);  // best effort; duplicates tolerated
@@ -233,8 +268,7 @@ class Ppe final : public PpeHost {
     expander_.expand(arena_, seen, idx, prune_bound(),
                      [&](StateIndex child_idx, const State& child) {
                        if (child.depth == shared_.problem.num_nodes()) {
-                         shared_.offer_incumbent(
-                             child.g, assignment_sequence(child_idx));
+                         on_goal(child_idx);
                          return;
                        }
                        children.push_back(child_idx);
@@ -292,7 +326,7 @@ class Ppe final : public PpeHost {
   /// Push one freshly generated state, routing goals to the incumbent.
   void accept_child(StateIndex idx, const State& child) {
     if (child.depth == shared_.problem.num_nodes()) {
-      shared_.offer_incumbent(child.g, assignment_sequence(idx));
+      on_goal(idx);
       return;
     }
     open_.push({child.f(), child.g, child.h, idx});
@@ -311,13 +345,11 @@ class Ppe final : public PpeHost {
 };
 
 void Ppe::initial_distribution() {
-  // Every PPE deterministically expands from the initial state until at
-  // least q candidate states exist (or the space is exhausted), then takes
-  // its share by the transport's partition strategy — identical
-  // computation on every PPE, so no startup messages are needed.
-  const std::uint32_t q = shared_.config.num_ppes;
-  const PartitionStrategy& partition = shared_.transport->partition();
-
+  // Every PPE deterministically expands from the initial state until there
+  // is a candidate state per PPE (or the space is exhausted), then takes
+  // its share by the transport's seed_owner — identical computation on
+  // every PPE, so no startup messages are needed.
+  //
   // Seed pruning uses the *static* upper bound (tightened by a warm-start
   // seed, which is also fixed before the run), never the live incumbent:
   // a goal found by a fast-seeding PPE would otherwise shrink a slow
@@ -330,42 +362,15 @@ void Ppe::initial_distribution() {
 
   util::FlatSet128 seed_local(1 << 8);
   SeedSeen seed_seen{&seed_local, link_.get()};
-
-  State root;
-  root.sig = core::root_signature();
-  root.parent = kNoParent;
-  const StateIndex root_idx = arena_.add(root);
-  OPTSCHED_ASSERT(root_idx == 0);  // imports hang below it (Importer)
-  seed_seen.insert(root.sig);
-
-  OpenList frontier;
-  frontier.push({arena_.hot(root_idx).f, 0.0, root_idx});
-  while (!frontier.empty() && frontier.size() < q) {
-    const OpenEntry e = frontier.pop();
-    if (arena_.hot(e.index).depth() == shared_.problem.num_nodes()) {
-      shared_.offer_incumbent(arena_.hot(e.index).g,
-                              assignment_sequence(e.index));
-      continue;
-    }
-    expander_.expand(arena_, seed_seen, e.index, seed_bound,
-                     [&](StateIndex idx, const State& child) {
-                       if (child.depth == shared_.problem.num_nodes()) {
-                         shared_.offer_incumbent(child.g,
-                                                 assignment_sequence(idx));
-                         return;
-                       }
-                       frontier.push({child.f(), child.g, idx});
-                     });
-  }
-
-  // Deterministic total order: (f, -g, arena index).
-  std::vector<OpenEntry> entries;
-  while (!frontier.empty()) entries.push_back(frontier.pop());
+  const std::vector<OpenEntry> entries = seed_expand(
+      shared_.problem, expander_, arena_, seed_seen, seed_bound,
+      shared_.config.num_ppes, std::numeric_limits<std::size_t>::max(),
+      [&](StateIndex idx) { on_goal(idx); });
 
   for (std::size_t j = 0; j < entries.size(); ++j) {
-    if (partition.owner_of(j, arena_.sig(entries[j].index), q) != id_)
-      continue;
-    open_.push(entry(entries[j].index));
+    if (shared_.transport->seed_owner(j, arena_.sig(entries[j].index)) ==
+        id_)
+      open_.push(entry(entries[j].index));
   }
   link_->publish(open_.min_f(), open_.size());
 }
@@ -403,7 +408,7 @@ void Ppe::run() {
 /// (BENCH_pr5 ws expanded_per_ppe on v=12: [389, 212, 46, 18, 16, 12, 3,
 /// 3]). The measurement is a pure function of (problem, config), so the
 /// clamped run stays deterministic; its expansions are thrown away and
-/// bounded by 4 * num_ppes * steal_batch pops.
+/// bounded by 4 * num_ppes * kStealBatch pops.
 std::uint32_t measure_effective_ppes(const SearchProblem& problem,
                                      const ParallelConfig& config) {
   if (config.mode != TransportMode::kWorkStealing || config.num_ppes <= 1)
@@ -414,41 +419,21 @@ std::uint32_t measure_effective_ppes(const SearchProblem& problem,
     bool insert(const util::Key128& k) { return set->insert(k); }
   };
 
-  const std::size_t target =
-      static_cast<std::size_t>(config.num_ppes) * config.steal_batch;
-  const std::size_t max_pops = 4 * target;
-  const double bound =
-      std::min(problem.upper_bound(), config.seed_upper_bound);
-
+  constexpr std::uint32_t batch = WsTransport::kStealBatch;
+  const std::size_t target = std::size_t{config.num_ppes} * batch;
   Expander expander(problem, config.search);
   StateArena arena;
   util::FlatSet128 local(1 << 8);
   LocalSeen seen{&local};
+  const std::size_t seeds =
+      seed_expand(problem, expander, arena, seen,
+                  std::min(problem.upper_bound(), config.seed_upper_bound),
+                  target, 4 * target, [](StateIndex) {})
+          .size();
 
-  State root;
-  root.sig = core::root_signature();
-  root.parent = kNoParent;
-  const StateIndex root_idx = arena.add(root);
-  seen.insert(root.sig);
-
-  OpenList frontier;
-  frontier.push({arena.hot(root_idx).f, 0.0, root_idx});
-  std::size_t pops = 0;
-  while (!frontier.empty() && frontier.size() < target &&
-         pops < max_pops) {
-    const OpenEntry e = frontier.pop();
-    ++pops;
-    if (arena.hot(e.index).depth() == problem.num_nodes()) continue;
-    expander.expand(arena, seen, e.index, bound,
-                    [&](StateIndex idx, const State& child) {
-                      if (child.depth == problem.num_nodes()) return;
-                      frontier.push({child.f(), child.g, idx});
-                    });
-  }
-
-  if (frontier.size() >= target) return config.num_ppes;
-  const auto feedable = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, frontier.size() / config.steal_batch));
+  if (seeds >= target) return config.num_ppes;
+  const auto feedable =
+      static_cast<std::uint32_t>(std::max<std::size_t>(1, seeds / batch));
   return std::min(config.num_ppes, feedable);
 }
 
@@ -479,16 +464,10 @@ ParallelResult assemble_result(
   if (stop != core::Termination::kOptimal) return out;  // a limit: unproved
 
   const double eps = config.search.epsilon;
-  if (config.naive_termination) {
-    // First-goal termination has no quality guarantee (kept for fidelity).
-    out.result.reason = core::Termination::kBoundedOptimal;
-    out.result.bound_factor = kInf;
-  } else {
-    out.result.proved_optimal = true;
-    out.result.bound_factor = 1.0 + eps;
-    out.result.reason = eps == 0.0 ? core::Termination::kOptimal
-                                   : core::Termination::kBoundedOptimal;
-  }
+  out.result.proved_optimal = true;
+  out.result.bound_factor = 1.0 + eps;
+  out.result.reason = eps == 0.0 ? core::Termination::kOptimal
+                                 : core::Termination::kBoundedOptimal;
   return out;
 }
 
@@ -496,11 +475,6 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
                                        const ParallelConfig& config) {
   OPTSCHED_REQUIRE(config.num_ppes >= 1, "need at least one PPE");
   OPTSCHED_REQUIRE(config.search.epsilon >= 0.0, "epsilon must be >= 0");
-  OPTSCHED_REQUIRE(config.steal_batch >= 1, "steal_batch must be >= 1");
-  // The shard table is allocated eagerly, before any memory budget can
-  // bite — refuse counts that could not possibly help.
-  OPTSCHED_REQUIRE(config.shards <= (1u << 16),
-                   "shards must be <= 65536 (0 = auto)");
   StateArena::require_packable(problem.num_nodes(), problem.num_procs());
 
   // The distributed mode runs on its own multi-process harness, not the

@@ -7,24 +7,24 @@
 //
 //  * mode = ring (the paper's §3.3 scheme, the default): static
 //    interleaved seed partition over a fixed topology, periodic
-//    neighbour communication with exponentially shrinking periods
-//    (election + OPEN-size rebalancing), and PPE-local duplicate
-//    detection only — the paper rejects a distributed CLOSED list as
-//    unscalable, so cross-PPE duplicates are re-expanded.
+//    neighbour communication with periods shrinking T = v/2, v/4, ...
+//    down to 2 expansions (election + OPEN-size rebalancing), and
+//    PPE-local duplicate detection only — the paper rejects a
+//    distributed CLOSED list as unscalable, so cross-PPE duplicates are
+//    re-expanded.
 //  * mode = ws (work stealing + hash-sharded duplicate detection):
 //    signature-hash seed partition, per-PPE donation deques with batched
-//    steal of the victim's best-f suffix, and one global transposition
-//    table sharded by signature so duplicate detection is exact across
-//    PPEs while lock contention stays per-shard.
+//    steal of the victim's best-f suffix (8 states a batch), and one
+//    global transposition table sharded by signature (4x PPEs shards) so
+//    duplicate detection is exact across PPEs while lock contention
+//    stays per-shard.
 //
 // Termination: the paper stops as soon as any PPE finds a goal. With
-// per-PPE OPEN lists that first goal need not be optimal, so by default we
-// use the sound rule — a goal becomes the shared incumbent, PPEs prune
+// per-PPE OPEN lists that first goal need not be optimal, so we use the
+// sound rule instead — a goal becomes the shared incumbent, PPEs prune
 // against it, and the search stops when every PPE is dominated
 // (min local f >= incumbent, or >= incumbent/(1+eps) for Aε*) and the
 // transport is quiescent (no message in flight / no parked donation).
-// `naive_termination = true` reproduces the paper's behaviour for
-// fidelity experiments.
 #pragma once
 
 #include "core/astar.hpp"
@@ -38,21 +38,6 @@ struct ParallelConfig {
   TransportMode mode = TransportMode::kRing;
   MailboxNetwork::Topology topology = MailboxNetwork::Topology::kRing;
   core::SearchConfig search{};
-
-  /// Ring: minimum communication period (expansions between rounds); the
-  /// paper decreases T = v/2, v/4, ... down to 2.
-  std::uint32_t min_period = 2;
-
-  /// Work stealing: batch size for donations and steals (>= 1).
-  std::uint32_t steal_batch = 8;
-
-  /// Work stealing: shard count of the global duplicate-detection table;
-  /// 0 = auto (4x PPEs, rounded up to a power of two).
-  std::uint32_t shards = 0;
-
-  /// Stop at the first goal found anywhere (the paper's §3.3 rule; may
-  /// return a suboptimal schedule — kept for fidelity experiments).
-  bool naive_termination = false;
 
   /// Warm-start seed (SolveSession re-solve): the shared incumbent starts
   /// from min(static upper bound, seed_upper_bound). The parallel engine

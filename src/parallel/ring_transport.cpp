@@ -61,7 +61,7 @@ class RingLink final : public PpeLink {
   std::uint32_t period_for_round(std::uint32_t round) const {
     const std::uint32_t v = t_.num_nodes_;
     const std::uint32_t shifted = round + 1 >= 31 ? 0u : (v >> (round + 1));
-    return std::max(shifted, t_.min_period_);
+    return std::max(shifted, RingTransport::kMinPeriod);
   }
 
   void drain_mailbox(PpeHost& host, std::chrono::microseconds wait) {
@@ -170,12 +170,10 @@ class RingLink final : public PpeLink {
 
 RingTransport::RingTransport(std::uint32_t num_ppes,
                              MailboxNetwork::Topology topology,
-                             std::uint32_t min_period,
                              std::uint32_t num_nodes,
                              std::atomic<bool>& done)
     : Transport(num_ppes, done),
       net_(num_ppes, topology),
-      min_period_(min_period),
       num_nodes_(num_nodes) {}
 
 std::unique_ptr<PpeLink> RingTransport::connect(std::uint32_t ppe) {

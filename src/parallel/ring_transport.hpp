@@ -4,7 +4,7 @@
 // for the paper's comparison runs) of mutex-protected mailboxes. Work is
 // seeded by the paper's interleaved hand-out, then redistributed by
 // periodic communication rounds with exponentially shrinking periods
-// T = v/2, v/4, ..., down to `min_period` expansions:
+// T = v/2, v/4, ..., down to the paper's floor of 2 expansions:
 //
 //  * neighbourhood election — the PPE holding the locally best f expands
 //    that state and scatters the children round-robin over the
@@ -35,22 +35,25 @@ namespace optsched::par {
 
 class RingTransport final : public Transport {
  public:
+  /// The floor of the communication period, in expansions (paper §3.3).
+  static constexpr std::uint32_t kMinPeriod = 2;
+
   RingTransport(std::uint32_t num_ppes, MailboxNetwork::Topology topology,
-                std::uint32_t min_period, std::uint32_t num_nodes,
-                std::atomic<bool>& done);
+                std::uint32_t num_nodes, std::atomic<bool>& done);
 
   TransportMode mode() const override { return TransportMode::kRing; }
   std::unique_ptr<PpeLink> connect(std::uint32_t ppe) override;
-  const PartitionStrategy& partition() const override { return partition_; }
+  std::uint32_t seed_owner(std::size_t rank,
+                           const util::Key128&) const override {
+    return interleave_owner(rank, num_ppes());
+  }
   void collect(ParallelStats& out) const override;
 
  private:
   friend class RingLink;
 
   MailboxNetwork net_;
-  std::uint32_t min_period_;
   std::uint32_t num_nodes_;  ///< v, for the shrinking period schedule
-  InterleavePartition partition_;
 
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> states_transferred_{0};

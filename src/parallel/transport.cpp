@@ -21,10 +21,11 @@ std::unique_ptr<Transport> make_transport(const ParallelConfig& config,
                                           std::atomic<bool>& done) {
   OPTSCHED_ASSERT(config.mode != TransportMode::kDistributed);
   if (config.mode == TransportMode::kWorkStealing)
-    return std::make_unique<WsTransport>(config.num_ppes, config.steal_batch,
-                                         config.shards, done);
+    return std::make_unique<WsTransport>(
+        config.num_ppes, WsTransport::kStealBatch,
+        ws_shard_count(config.num_ppes), done);
   return std::make_unique<RingTransport>(
-      config.num_ppes, config.topology, config.min_period,
+      config.num_ppes, config.topology,
       static_cast<std::uint32_t>(problem.num_nodes()), done);
 }
 

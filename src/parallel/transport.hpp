@@ -20,7 +20,7 @@
 //                      frontier inspection, batched push, serialization of
 //                      states into self-contained messages, and import of
 //                      received batches into the local arena.
-//   PartitionStrategy  deterministic ownership of the seed frontier (the
+//   seed_owner         deterministic ownership of the seed frontier (the
 //                      paper's interleaved hand-out, or signature-hash
 //                      ownership for the work-stealing mode).
 //
@@ -239,41 +239,24 @@ class PpeLink {
   PpeStatus* status_;
 };
 
-/// Deterministic ownership of the rank-ordered seed frontier. Every PPE
-/// computes the identical seed expansion, so ownership must be a pure
-/// function of (rank, signature) — no startup communication.
-class PartitionStrategy {
- public:
-  virtual ~PartitionStrategy() = default;
-  virtual std::uint32_t owner_of(std::size_t rank, const util::Key128& sig,
-                                 std::uint32_t num_ppes) const = 0;
-};
-
-/// The paper's §3.3 interleaved hand-out: 1st -> PPE 0, 2nd -> PPE q-1,
-/// 3rd -> PPE 1, ...; extras round-robin.
-class InterleavePartition final : public PartitionStrategy {
- public:
-  std::uint32_t owner_of(std::size_t rank, const util::Key128&,
-                         std::uint32_t q) const override {
-    if (rank < q) {
-      return (rank % 2 == 0) ? static_cast<std::uint32_t>(rank / 2)
-                             : q - 1 - static_cast<std::uint32_t>(rank / 2);
-    }
-    return static_cast<std::uint32_t>(rank - q) % q;
+/// The paper's §3.3 interleaved hand-out of the rank-ordered seed
+/// frontier over q PPEs: 1st -> PPE 0, 2nd -> PPE q-1, 3rd -> PPE 1, ...;
+/// extras round-robin.
+inline std::uint32_t interleave_owner(std::size_t rank, std::uint32_t q) {
+  if (rank < q) {
+    return (rank % 2 == 0) ? static_cast<std::uint32_t>(rank / 2)
+                           : q - 1 - static_cast<std::uint32_t>(rank / 2);
   }
-};
+  return static_cast<std::uint32_t>(rank - q) % q;
+}
 
 /// HDA*-style signature-hash ownership for the work-stealing mode: the
-/// same mix that routes a state to its dedup shard routes seed states to
-/// their starting PPE, so the initial partition is already hash-uniform.
-class HashPartition final : public PartitionStrategy {
- public:
-  std::uint32_t owner_of(std::size_t, const util::Key128& sig,
-                         std::uint32_t q) const override {
-    return static_cast<std::uint32_t>(
-        util::splitmix64(sig.hi ^ (sig.lo * 0x9e3779b97f4a7c15ULL)) % q);
-  }
-};
+/// seed state goes to the PPE its signature hashes to, so the initial
+/// partition is already hash-uniform.
+inline std::uint32_t hash_owner(const util::Key128& sig, std::uint32_t q) {
+  return static_cast<std::uint32_t>(
+      util::splitmix64(sig.hi ^ (sig.lo * 0x9e3779b97f4a7c15ULL)) % q);
+}
 
 /// The per-run substrate shared by all PPEs.
 class Transport {
@@ -286,7 +269,11 @@ class Transport {
 
   virtual TransportMode mode() const = 0;
   virtual std::unique_ptr<PpeLink> connect(std::uint32_t ppe) = 0;
-  virtual const PartitionStrategy& partition() const = 0;
+  /// The PPE that owns the seed state at `rank` of the deterministic seed
+  /// frontier. Every PPE computes the identical seed expansion, so this
+  /// is a pure function of (rank, signature) — no startup communication.
+  virtual std::uint32_t seed_owner(std::size_t rank,
+                                   const util::Key128& sig) const = 0;
   /// Fill in the mode-specific counters (expanded_per_ppe is the
   /// caller's: it comes from the workers, not the transport).
   virtual void collect(ParallelStats& out) const = 0;

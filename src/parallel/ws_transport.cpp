@@ -153,10 +153,7 @@ class WsLink final : public PpeLink {
 WsTransport::WsTransport(std::uint32_t num_ppes, std::uint32_t steal_batch,
                          std::uint32_t shards, std::atomic<bool>& done)
     : Transport(num_ppes, done),
-      // Auto-sizing honours the same ceiling the API enforces for
-      // explicit requests: the table allocates eagerly, before any
-      // memory budget is polled.
-      table_(shards ? shards : std::min(4 * num_ppes, 4096u)),
+      table_(shards),
       deques_(num_ppes),
       steal_batch_(steal_batch) {
   OPTSCHED_REQUIRE(steal_batch >= 1, "steal batch must be >= 1");

@@ -31,6 +31,7 @@
 // observation is stable.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -80,7 +81,7 @@ class ShardedSignatureTable {
 
   /// Owning shard of a signature — a pure function of the signature, so
   /// every PPE routes the same state to the same shard. The mix differs
-  /// from both FlatSet128's probe hash and HashPartition's PPE hash, so
+  /// from both FlatSet128's probe hash and hash_owner's PPE hash, so
   /// shard choice, intra-shard probing, and seed ownership stay
   /// decorrelated.
   std::uint32_t shard_of(const util::Key128& sig) const noexcept {
@@ -149,15 +150,30 @@ struct alignas(64) DonationDeque {
   std::atomic<std::size_t> bytes{0};  ///< approximate footprint
 };
 
+/// Shard count of the dedup table for `num_ppes` PPEs: 4x PPEs (the table
+/// rounds it up to a power of two), at most 4096. The table allocates
+/// eagerly, before any memory budget is polled, so the engine checks its
+/// estimate_bytes against the budget up front.
+inline std::uint32_t ws_shard_count(std::uint32_t num_ppes) {
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(4 * std::uint64_t{num_ppes}, 4096));
+}
+
 class WsTransport final : public Transport {
  public:
-  /// `shards` 0 = auto: 4x PPEs rounded up to a power of two.
+  /// Donation and steal batch size, in states.
+  static constexpr std::uint32_t kStealBatch = 8;
+
+  /// make_transport passes kStealBatch and ws_shard_count(num_ppes).
   WsTransport(std::uint32_t num_ppes, std::uint32_t steal_batch,
               std::uint32_t shards, std::atomic<bool>& done);
 
   TransportMode mode() const override { return TransportMode::kWorkStealing; }
   std::unique_ptr<PpeLink> connect(std::uint32_t ppe) override;
-  const PartitionStrategy& partition() const override { return partition_; }
+  std::uint32_t seed_owner(std::size_t,
+                           const util::Key128& sig) const override {
+    return hash_owner(sig, num_ppes());
+  }
   void collect(ParallelStats& out) const override;
 
  private:
@@ -172,7 +188,6 @@ class WsTransport final : public Transport {
   ShardedSignatureTable table_;
   std::vector<DonationDeque> deques_;
   std::uint32_t steal_batch_;
-  HashPartition partition_;
 
   std::atomic<std::uint64_t> steal_attempts_{0};
   std::atomic<std::uint64_t> steals_{0};

@@ -24,8 +24,8 @@ TEST(CanonicalEngineSpec, OptionsSortByKey) {
 TEST(CanonicalEngineSpec, NumericValuesNormalize) {
   // Leading zeros, trailing fraction zeros, and scientific notation all
   // denote the same configuration — one canonical spelling each.
-  EXPECT_EQ(canonical_engine_spec("parallel:steal-batch=08"),
-            canonical_engine_spec("parallel:steal-batch=8"));
+  EXPECT_EQ(canonical_engine_spec("parallel:ppes=08"),
+            canonical_engine_spec("parallel:ppes=8"));
   EXPECT_EQ(canonical_engine_spec("aeps:epsilon=0.20"),
             canonical_engine_spec("aeps:epsilon=0.2"));
   EXPECT_EQ(canonical_engine_spec("aeps:epsilon=2e-1"),
@@ -43,7 +43,7 @@ TEST(CanonicalEngineSpec, NonNumericValuesPassThroughVerbatim) {
 
 TEST(CanonicalEngineSpec, Idempotent) {
   for (const char* spec :
-       {"astar", "parallel:ppes=04:mode=ws:steal-batch=8",
+       {"astar", "parallel:ppes=04:mode=ws",
         "aeps:epsilon=0.20", "portfolio:engines=astar+ida"}) {
     const std::string once = canonical_engine_spec(spec);
     EXPECT_EQ(canonical_engine_spec(once), once) << "spec: " << spec;

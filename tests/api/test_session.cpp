@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "dag/generators.hpp"
+#include "parallel/ws_transport.hpp"
 #include "sched/validator.hpp"
 #include "util/assert.hpp"
 #include "workload/scenario.hpp"
@@ -147,6 +148,23 @@ TEST(ParallelGuardrails, ShardBudgetCheckedUpFront) {
   request.limits.max_memory_bytes = 1024;  // far below any shard table
   EXPECT_THROW(SolverRegistry::instance().solve("parallel", request),
                InvalidRequest);
+  // The check sizes the table the ws transport builds for 4 PPEs: one
+  // byte below its fixed allocation is refused, naming the table; a
+  // budget equal to it passes the check (the search may then stop on its
+  // memory limit, with a valid schedule).
+  const std::size_t fixed =
+      par::ShardedSignatureTable::estimate_bytes(par::ws_shard_count(4));
+  request.limits.max_memory_bytes = fixed - 1;
+  try {
+    SolverRegistry::instance().solve("parallel", request);
+    ADD_FAILURE() << "expected InvalidRequest";
+  } catch (const InvalidRequest& e) {
+    EXPECT_NE(std::string(e.what()).find("dedup table"), std::string::npos)
+        << e.what();
+  }
+  request.limits.max_memory_bytes = fixed;
+  EXPECT_NO_THROW(sched::validate(
+      SolverRegistry::instance().solve("parallel", request).schedule));
   // A workable budget solves fine.
   request.limits.max_memory_bytes = 64u << 20;
   const SolveResult r = SolverRegistry::instance().solve("parallel", request);

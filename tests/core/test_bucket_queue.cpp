@@ -307,6 +307,29 @@ TEST(BucketQueue, MemoryBytesMatchesRecount) {
   EXPECT_GT(bucket.peak_span(), 0u);
 }
 
+/// FOCAL storage is counted at its peak, like the heap's capacity and the
+/// bucket queue's running sum: popping never lowers memory_bytes(), so the
+/// end-of-search value a solve reports is the peak.
+TEST(BucketQueue, FocalMemoryBytesNeverFalls) {
+  Frontier focal(grid(1), QueueChoice{}, 0.2);
+  ASSERT_STREQ(focal.queue_kind(), "focal");
+  constexpr int kN = 100;
+  for (int i = 0; i < kN; ++i) {
+    const double f = static_cast<double>(i % 17);
+    focal.push({f, f / 2, f / 2, static_cast<StateIndex>(i)});
+    ASSERT_EQ(focal.memory_bytes(), focal.recount_memory_bytes());
+  }
+  const std::size_t peak = focal.memory_bytes();
+  EXPECT_GT(peak, 0u);
+  for (int i = 0; i < kN - 1; ++i) {
+    focal.pop();
+    ASSERT_EQ(focal.memory_bytes(), peak) << "pop " << i;
+    ASSERT_EQ(focal.memory_bytes(), focal.recount_memory_bytes());
+  }
+  focal.clear();
+  EXPECT_EQ(focal.memory_bytes(), peak);
+}
+
 /// The FOCAL rule, restated over a sorted vector: among the first
 /// Frontier::kFocalScanCap entries in (f, -g, index) order with
 /// f <= (1+eps)*fmin + 1e-12, the smallest h, ties on larger g, then the

@@ -11,10 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "api/registry.hpp"
 #include "core/astar.hpp"
 #include "core/bucket_queue.hpp"
 #include "core/problem.hpp"
+#include "parallel/parallel_astar.hpp"
 #include "workload/scenario.hpp"
 
 namespace optsched {
@@ -65,18 +65,24 @@ TEST_P(QueueDifferential, BucketMatchesHeapBitForBit) {
 /// structures, for both transports.
 TEST_P(QueueDifferential, ParallelBucketMatchesHeapMakespan) {
   const Instance instance = ScenarioSpec::parse(GetParam()).materialize();
-  api::SolveRequest request(instance.graph, instance.machine, instance.comm);
-  request.options["ppes"] = "2";
+  const core::SearchProblem problem(instance.graph, instance.machine,
+                                    instance.comm);
+  par::ParallelConfig config;
+  config.num_ppes = 2;
 
-  for (const char* mode : {"ring", "ws"}) {
-    request.options["mode"] = mode;
-    request.options["queue"] = "heap";
-    const api::SolveResult hr = api::solve("parallel", request);
-    request.options["queue"] = "auto";
-    const api::SolveResult br = api::solve("parallel", request);
-    EXPECT_EQ(hr.makespan, br.makespan) << GetParam() << " mode=" << mode;
-    EXPECT_TRUE(hr.proved_optimal);
-    EXPECT_TRUE(br.proved_optimal);
+  for (const par::TransportMode mode :
+       {par::TransportMode::kRing, par::TransportMode::kWorkStealing}) {
+    config.mode = mode;
+    config.search.queue = core::QueueSelect::kHeap;
+    const par::ParallelResult hr =
+        par::parallel_astar_schedule(problem, config);
+    config.search.queue = core::QueueSelect::kAuto;
+    const par::ParallelResult br =
+        par::parallel_astar_schedule(problem, config);
+    EXPECT_EQ(hr.result.makespan, br.result.makespan)
+        << GetParam() << " mode=" << par::to_string(mode);
+    EXPECT_TRUE(hr.result.proved_optimal);
+    EXPECT_TRUE(br.result.proved_optimal);
   }
 }
 

@@ -471,9 +471,6 @@ TEST(DistTransport, ExactOnlyRejectsBoundedConfigs) {
   cfg.mode = TransportMode::kDistributed;
   cfg.search.epsilon = 0.2;
   EXPECT_THROW(dist_astar_schedule(problem, cfg), util::Error);
-  cfg.search.epsilon = 0.0;
-  cfg.naive_termination = true;
-  EXPECT_THROW(dist_astar_schedule(problem, cfg), util::Error);
 }
 
 // ---- limits: each ends in its typed Termination, never a hang -------------

@@ -101,25 +101,6 @@ TEST(ParallelAStar, EpsilonVariantBoundHolds) {
   }
 }
 
-TEST(ParallelAStar, NaiveTerminationStillValidSchedule) {
-  dag::RandomDagParams p;
-  p.num_nodes = 10;
-  p.ccr = 1.0;
-  p.seed = 6;
-  const auto g = dag::random_dag(p);
-  const auto m = Machine::fully_connected(3);
-  const core::SearchProblem problem(g, m);
-  const double opt = core::astar_schedule(problem).makespan;
-
-  ParallelConfig cfg;
-  cfg.num_ppes = 4;
-  cfg.naive_termination = true;  // the paper's stop-at-first-goal rule
-  const auto r = parallel_astar_schedule(problem, cfg);
-  EXPECT_NO_THROW(sched::validate(r.result.schedule));
-  EXPECT_FALSE(r.result.proved_optimal);
-  EXPECT_GE(r.result.makespan, opt - 1e-9);  // never better than optimal
-}
-
 TEST(ParallelAStar, TimeLimitHonoured) {
   dag::RandomDagParams p;
   p.num_nodes = 24;

@@ -72,25 +72,27 @@ TEST(ShardedSignatureTable, MemoryGrowsWithInsertions) {
 // ---- partition strategies ------------------------------------------------
 
 TEST(PartitionStrategy, InterleaveMatchesPaperHandOut) {
-  const InterleavePartition p;
-  const util::Key128 sig{1, 1};
   // 1st -> PPE 0, 2nd -> PPE q-1, 3rd -> PPE 1, 4th -> PPE q-2, ...
-  EXPECT_EQ(p.owner_of(0, sig, 4), 0u);
-  EXPECT_EQ(p.owner_of(1, sig, 4), 3u);
-  EXPECT_EQ(p.owner_of(2, sig, 4), 1u);
-  EXPECT_EQ(p.owner_of(3, sig, 4), 2u);
+  EXPECT_EQ(interleave_owner(0, 4), 0u);
+  EXPECT_EQ(interleave_owner(1, 4), 3u);
+  EXPECT_EQ(interleave_owner(2, 4), 1u);
+  EXPECT_EQ(interleave_owner(3, 4), 2u);
   // Extras round-robin.
-  EXPECT_EQ(p.owner_of(4, sig, 4), 0u);
-  EXPECT_EQ(p.owner_of(5, sig, 4), 1u);
+  EXPECT_EQ(interleave_owner(4, 4), 0u);
+  EXPECT_EQ(interleave_owner(5, 4), 1u);
 }
 
 TEST(PartitionStrategy, HashOwnerIsAPureFunctionOfTheSignature) {
-  const HashPartition p;
+  std::atomic<bool> done{false};
+  const WsTransport transport(/*num_ppes=*/8, /*steal_batch=*/1,
+                              /*shards=*/1, done);
   for (std::uint64_t i = 0; i < 200; ++i) {
     const util::Key128 sig = key_for(i);
-    const std::uint32_t owner = p.owner_of(0, sig, 8);
+    const std::uint32_t owner = hash_owner(sig, 8);
     EXPECT_LT(owner, 8u);
-    EXPECT_EQ(p.owner_of(17, sig, 8), owner);  // rank is irrelevant
+    // The ws transport owns seeds by the hash; the rank is irrelevant.
+    EXPECT_EQ(transport.seed_owner(0, sig), owner);
+    EXPECT_EQ(transport.seed_owner(17, sig), owner);
   }
 }
 
@@ -358,24 +360,10 @@ TEST(WorkStealingSearch, LimitsHonoured) {
 }
 
 TEST(WorkStealingSearch, RejectsBadStealBatch) {
-  const auto g = dag::paper_figure1();
-  const auto m = Machine::paper_ring3();
-  const core::SearchProblem problem(g, m);
-  ParallelConfig cfg;
-  cfg.mode = TransportMode::kWorkStealing;
-  cfg.steal_batch = 0;
-  EXPECT_THROW(parallel_astar_schedule(problem, cfg), util::Error);
-}
-
-TEST(WorkStealingSearch, RejectsAbsurdShardCount) {
-  // The table allocates eagerly, before the memory budget applies.
-  const auto g = dag::paper_figure1();
-  const auto m = Machine::paper_ring3();
-  const core::SearchProblem problem(g, m);
-  ParallelConfig cfg;
-  cfg.mode = TransportMode::kWorkStealing;
-  cfg.shards = 1u << 20;
-  EXPECT_THROW(parallel_astar_schedule(problem, cfg), util::Error);
+  std::atomic<bool> done{false};
+  EXPECT_THROW(WsTransport(/*num_ppes=*/2, /*steal_batch=*/0, /*shards=*/2,
+                           done),
+               util::Error);
 }
 
 }  // namespace
