@@ -88,8 +88,51 @@ TEST(Registry, UndeclaredOptionRaisesInvalidRequest) {
   }
 }
 
+TEST(Registry, RetiredDistWireOptionsRaiseInvalidRequest) {
+  // mode=dist speaks one wire with fixed flush thresholds: its former
+  // codec and flush knobs are unknown options like any other.
+  for (const auto& [key, value] : {std::pair<const char*, const char*>{
+                                       "wire", "v1"},
+                                   {"batch", "8"},
+                                   {"flush-us", "0"}}) {
+    SolveRequest request = figure1_request();
+    request.options["mode"] = "dist";
+    request.options[key] = value;
+    try {
+      solve("parallel", request);
+      ADD_FAILURE() << "expected InvalidRequest for " << key;
+    } catch (const InvalidRequest& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("option '") + key + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("valid options"), std::string::npos) << what;
+      EXPECT_NE(what.find("procs"), std::string::npos)
+          << "error should list the valid option keys: " << what;
+    }
+  }
+}
+
+TEST(Registry, RetiredHWeightOptionRaisesInvalidRequest) {
+  // Aε* is the one bounded best-first search: h-weight (weighted A*) is
+  // an unknown option like any other, on both best-first engines.
+  for (const char* engine : {"astar", "aeps"}) {
+    SolveRequest request = figure1_request();
+    request.options["h-weight"] = "2";
+    try {
+      solve(engine, request);
+      ADD_FAILURE() << "expected InvalidRequest for " << engine;
+    } catch (const InvalidRequest& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("option 'h-weight'"), std::string::npos) << what;
+      EXPECT_NE(what.find("valid options"), std::string::npos) << what;
+    }
+  }
+}
+
 /// Retired options are unknown options like any other: each raises
-/// InvalidRequest naming the key before any search runs.
+/// InvalidRequest naming the key before any search runs. The dist wire
+/// and h-weight options have their own tests above.
 TEST(Registry, RetiredOptionsRaiseInvalidRequest) {
   struct Row {
     const char* engine;
@@ -97,13 +140,6 @@ TEST(Registry, RetiredOptionsRaiseInvalidRequest) {
     const char* value;
   };
   const Row rows[] = {
-      // mode=dist speaks one wire with fixed flush thresholds.
-      {"parallel", "wire", "v1"},
-      {"parallel", "batch", "8"},
-      {"parallel", "flush-us", "0"},
-      // Aε* is the one bounded best-first search (no weighted A*).
-      {"astar", "h-weight", "2"},
-      {"aeps", "h-weight", "2"},
       // Each of these had one value in use; it is now a constant.
       {"parallel", "naive-term", "1"},  // sound termination only
       {"parallel", "min-period", "2"},  // RingTransport::kMinPeriod
