@@ -6,13 +6,19 @@
 // ppes=... for the exact baseline, plus epsilon=... for the approximate
 // variant.
 //
-// Expected shape (paper §4.4): actual deviations stay well below the
-// 100ε% guarantee (often 0 for small graphs); time ratios drop well below
-// 1 (the paper reports 10-40% savings at ε=0.2 and 50-70% at ε=0.5).
+// The paper (§4.4) reports deviations well below the 100ε% guarantee
+// (often 0 for small graphs) and time ratios well below 1 (10-40% savings
+// at ε=0.2 and 50-70% at ε=0.5). This bench asserts no timing: after the
+// tables of each ε it prints counts computed from their rows — the solved
+// cells whose deviation is within the bound, and those whose time ratio
+// is below 1, listing the cells above 1. The guarantee itself is checked:
+// the bench exits 1 if a proved Aε* makespan exceeds (1+ε) times the
+// optimum.
 //
 //   $ ./bench_fig7 [--vmax N] [--budget-ms MS] [--ppes Q] [--full]
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "api/registry.hpp"
 #include "bench_common.hpp"
@@ -33,7 +39,10 @@ int main(int argc, char** argv) {
 
   std::printf("== Figure 7: parallel Aepsilon* with %u PPEs ==\n\n", ppes);
 
+  int violations = 0;  // proved Aeps* makespans above (1+eps) * optimal
   for (const double eps : {0.2, 0.5}) {
+    int solved = 0, within_bound = 0, faster = 0;
+    std::string slower;  // the cells with time ratio >= 1
     for (const double ccr : bench::kPaperCcrs) {
       util::Table table({"v", "optimal", "Aeps SL", "deviation%", "bound%",
                          "time(A*)", "time(Aeps)", "ratio"});
@@ -78,13 +87,27 @@ int main(int argc, char** argv) {
         }
         const double deviation =
             100.0 * (approx.makespan - exact.makespan) / exact.makespan;
+        const double ratio = eps_time / exact_time;
+        ++solved;
+        if (deviation <= 100.0 * eps + 1e-9) ++within_bound;
+        if (approx.proved_optimal &&
+            approx.makespan > (1.0 + eps) * exact.makespan + 1e-9)
+          ++violations;
+        if (ratio < 1.0) {
+          ++faster;
+        } else {
+          char cell[64];
+          std::snprintf(cell, sizeof cell, " CCR %.1f v=%u (%.2f)", ccr, v,
+                        ratio);
+          slower += cell;
+        }
         row.cell(exact.makespan, 0)
             .cell(approx.makespan, 0)
             .cell(deviation, 2)
             .cell(100.0 * eps, 0)
             .cell(util::format_seconds(exact_time))
             .cell(util::format_seconds(eps_time))
-            .cell(eps_time / exact_time, 2);
+            .cell(ratio, 2);
       }
       char title[96];
       std::snprintf(title, sizeof title, "epsilon = %.1f, CCR = %.1f", eps,
@@ -93,8 +116,17 @@ int main(int argc, char** argv) {
       if (opt.csv) table.write_csv(std::cout);
       std::printf("\n");
     }
+    std::printf("epsilon = %.1f: deviation within bound on %d of %d solved "
+                "cells; time ratio < 1 on %d of %d (1 or above:%s)\n\n",
+                eps, within_bound, solved, faster, solved,
+                slower.empty() ? " none" : slower.c_str());
   }
-  std::printf("shape check: deviation%% stays below bound%% everywhere; "
-              "time ratio < 1 and smaller for epsilon = 0.5.\n");
+  if (violations > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %d proved Aepsilon* makespan(s) above (1+epsilon) * "
+                 "optimal\n",
+                 violations);
+    return 1;
+  }
   return 0;
 }

@@ -309,8 +309,9 @@ BENCHMARK(BM_ReplayDelta)->Arg(12)->Arg(16)->Arg(32);
 
 // ---- arena hot-record scan -----------------------------------------------
 //
-// The pop/stale-filter pass reads f and depth of scattered states through
-// StateArena::hot(). The 65,536 states fit in cache, so this times hot(i)
+// The replay walk reads g and depth of scattered states through the
+// 16-byte StateArena::hot() record (f travels in the frontier entry). The
+// 65,536 states fit in cache, so this times hot(i)
 // (segment lookup) and depth() unpacking, not the memory footprint the
 // hot/cold split saves — search-heavy peak_rss_mb measures that end to end.
 
@@ -345,7 +346,7 @@ void BM_ArenaScanSoAHot(benchmark::State& state) {
     std::uint64_t depths = 0;
     for (const auto i : order) {
       const core::HotState& s = arena.hot(i);
-      acc += s.f;
+      acc += s.g;
       depths += s.depth();
     }
     benchmark::DoNotOptimize(acc);

@@ -225,11 +225,12 @@ void seed_frontier(SearchDriver& d, Frontier& open) {
   std::uint64_t skipped = 0;
   for (StateIndex i = 0; i < d.arena.size(); ++i) {
     d.seen.insert(d.arena.sig(i), i);
+    double h = 0.0;  // the root goes on OPEN with f = 0
     if (warm_arena) {
       // Positions the expansion context on i (the guard test below reads
       // its ready list) and re-derives h against the new instance.
-      const double h = d.expander.state_h(d.arena, i);
-      if (i > 0) d.arena.patch_h(i, h);
+      const double state_h = d.expander.state_h(d.arena, i);
+      if (i > 0) h = state_h;
     }
     const std::uint8_t fl = d.warm ? d.flags[i] : 0;
     const bool replayable =
@@ -254,11 +255,12 @@ void seed_frontier(SearchDriver& d, Frontier& open) {
     // better (admissible h), so it stays closed (its signature is already
     // in `seen`) without entering OPEN. The root is always pushed.
     const HotState& s = d.arena.hot(i);
+    const double f = s.g + h;
     if (warm_arena && i > 0 && d.config.prune.upper_bound &&
         !d.is_goal_depth(s.depth()) &&
-        dominated(s.f, initial_prune, 0.0, d.config.prune.strict_upper_bound))
+        dominated(f, initial_prune, 0.0, d.config.prune.strict_upper_bound))
       continue;
-    open.push({s.f, s.g, s.h(), i});
+    open.push({f, s.g, h, i});
   }
   if (d.warm) d.warm->states_skipped = skipped;
 }
@@ -284,8 +286,8 @@ SearchResult run_astar(SearchDriver& d) {
 /// i.e. its whole chain avoids dirty nodes (parents precede children in
 /// the arena, so one forward pass with index remapping suffices). A
 /// surviving chain's stored g and signature replay bit-identically under
-/// the new instance (every context move asserts the signature); h is
-/// stale and is re-derived during frontier seeding.
+/// the new instance (every context move asserts the signature); h is not
+/// stored, and frontier seeding derives it against the new instance.
 /// The previous run's expansion record rides along under the same
 /// remapping. Returns the retained count (0 = nothing reusable; the
 /// caller starts from a cold root).
@@ -311,7 +313,6 @@ std::size_t retain_clean(SearchDriver& d, WarmStart& warm) {
       if (hs.parent == kNoParent || remap[hs.parent] == kNoParent) continue;
       s.sig = old.sig(i);
       s.g = hs.g;
-      s.h = hs.f - hs.g;  // stale; re-derived at seeding
       s.parent = remap[hs.parent];
       s.node = n;
       s.proc = hs.proc();

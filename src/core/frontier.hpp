@@ -30,11 +30,16 @@ namespace optsched::core {
 
 class Frontier {
  public:
-  /// One frontier entry. Only the FOCAL rule reads h; the caller passes
-  /// the h it computed, not f - g, so the rule sees the exact value.
+  /// One frontier entry. f lives here and in no arena record: whatever
+  /// leaves the frontier (pops, extract_surplus, extract_best) carries it
+  /// out. Only the FOCAL rule reads h; the caller passes the h it
+  /// computed, not f - g, so the rule sees the exact value. The heap and
+  /// the bucket queue do not store h, and hand out f - g in its place.
   struct Entry {
     double f, g, h;
     StateIndex index;
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
   /// FOCAL selection scans at most this many members of the
@@ -109,26 +114,8 @@ class Frontier {
   /// `min_f`, when given, receives the frontier minimum before the pop —
   /// for the heap and the bucket queue the popped f itself.
   OpenEntry pop(double* min_f = nullptr) {
-    if (kind_ != Kind::kFocal) {
-      const OpenEntry out =
-          kind_ == Kind::kBucket ? bucket_->pop() : heap_.pop();
-      if (min_f) *min_f = out.f;
-      return out;
-    }
-    OPTSCHED_ASSERT(!focal_.empty());
-    if (min_f) *min_f = focal_.begin()->f;
-    const double bound = (1.0 + eps_) * focal_.begin()->f + 1e-12;
-    auto chosen = focal_.begin();
-    int scanned = 0;
-    for (auto it = focal_.begin(); it != focal_.end() && it->f <= bound &&
-                                   scanned < kFocalScanCap;
-         ++it, ++scanned) {
-      if (it->h < chosen->h || (it->h == chosen->h && it->g > chosen->g))
-        chosen = it;
-    }
-    const OpenEntry out{chosen->f, chosen->g, chosen->index};
-    focal_.erase(chosen);
-    return out;
+    const Entry e = take(min_f);
+    return {e.f, e.g, e.index};
   }
 
   void clear() {
@@ -142,13 +129,13 @@ class Frontier {
   /// drop every entry at or above `live_bound`, the incumbent bound at
   /// extraction time (OpenList::extract_surplus). FOCAL donates its worst
   /// members and always keeps one.
-  std::vector<StateIndex> extract_surplus(
+  std::vector<Entry> extract_surplus(
       std::size_t count,
       double live_bound = std::numeric_limits<double>::infinity()) {
-    std::vector<StateIndex> out;
+    std::vector<Entry> out;
     if (kind_ == Kind::kFocal) {
       while (out.size() < count && focal_.size() > 1) {
-        out.push_back(std::prev(focal_.end())->index);
+        out.push_back(*std::prev(focal_.end()));
         focal_.erase(std::prev(focal_.end()));
       }
       return out;
@@ -156,14 +143,14 @@ class Frontier {
     const std::vector<OpenEntry> taken =
         bucket_ ? bucket_->extract_surplus(count, live_bound)
                 : heap_.extract_surplus(count, live_bound);
-    for (const OpenEntry& e : taken) out.push_back(e.index);
+    for (const OpenEntry& e : taken) out.push_back(with_h(e));
     return out;
   }
 
   /// Remove up to `count` entries in pop order (work-stealing donations).
-  std::vector<StateIndex> extract_best(std::size_t count) {
-    std::vector<StateIndex> out;
-    while (out.size() < count && !empty()) out.push_back(pop().index);
+  std::vector<Entry> extract_best(std::size_t count) {
+    std::vector<Entry> out;
+    while (out.size() < count && !empty()) out.push_back(take());
     return out;
   }
 
@@ -202,6 +189,36 @@ class Frontier {
 
   /// Estimated bytes of one FOCAL set node (entry plus tree links).
   static constexpr std::size_t kFocalNodeBytes = sizeof(Entry) * 3;
+
+  /// A heap or bucket entry as a frontier entry; h is recovered as f - g.
+  static Entry with_h(const OpenEntry& e) noexcept {
+    return {e.f, e.g, e.f - e.g, e.index};
+  }
+
+  /// pop() with the whole entry: FOCAL members keep the h they were
+  /// pushed with.
+  Entry take(double* min_f = nullptr) {
+    if (kind_ != Kind::kFocal) {
+      const OpenEntry out =
+          kind_ == Kind::kBucket ? bucket_->pop() : heap_.pop();
+      if (min_f) *min_f = out.f;
+      return with_h(out);
+    }
+    OPTSCHED_ASSERT(!focal_.empty());
+    if (min_f) *min_f = focal_.begin()->f;
+    const double bound = (1.0 + eps_) * focal_.begin()->f + 1e-12;
+    auto chosen = focal_.begin();
+    int scanned = 0;
+    for (auto it = focal_.begin(); it != focal_.end() && it->f <= bound &&
+                                   scanned < kFocalScanCap;
+         ++it, ++scanned) {
+      if (it->h < chosen->h || (it->h == chosen->h && it->g > chosen->g))
+        chosen = it;
+    }
+    const Entry out = *chosen;
+    focal_.erase(chosen);
+    return out;
+  }
 
   /// FOCAL set order: (f asc, g desc, index asc), OpenList's order.
   struct FocalOrder {

@@ -9,20 +9,23 @@
 //
 // The arena splits each state into a *hot* and a *cold* record:
 //
-//   HotState (24 bytes)   f, g, parent link, packed node/proc/depth — the
-//                         fields the pop -> stale-filter -> replay path
-//                         reads for every state it touches.
+//   HotState (16 bytes)   g, parent link, packed node/proc/depth — the
+//                         fields the replay path reads for every state
+//                         it touches.
 //   ColdState (16 bytes)  the 128-bit duplicate-detection signature — read
 //                         when a state is generated (signature extension),
 //                         deduplicated, transferred between PPEs, or loaded
 //                         (the replay check).
 //
-// A state costs 40 bytes. Finish times are not stored: the context replay
-// recomputes them, and the signature it extends along the way must equal
-// the stored one (core/expansion.hpp), which checks every replayed finish
-// time at once. Consecutive frontier pops touch only the hot array, and
-// the cold array stays out of cache until the next generation burst or
-// context move. `State` remains as the generation-time value type;
+// A state costs 32 bytes. Neither f nor h is stored: f = g + h is fixed at
+// generation time and travels in the state's frontier entry (and in a
+// transferred state's message), which is the only place the search reads
+// it. Finish times are not stored either: the context replay recomputes
+// them, and the signature it extends along the way must equal the stored
+// one (core/expansion.hpp), which checks every replayed finish time at
+// once. Consecutive frontier pops touch only the hot array, and the cold
+// array stays out of cache until the next generation burst or context
+// move. `State` remains as the generation-time value type;
 // `StateArena::add` splits it.
 #pragma once
 
@@ -52,7 +55,8 @@ inline constexpr std::uint32_t kMaxArenaNodes = (1u << 12) - 2;  // 4094
 inline constexpr std::uint32_t kMaxArenaProcs = (1u << 8) - 2;   // 254
 
 /// Generation-time state record (the full AoS view). Built by the expander
-/// for each surviving child, split into hot/cold by StateArena::add.
+/// for each surviving child, split into hot/cold by StateArena::add, which
+/// keeps no h: the caller pushes f and h in the child's frontier entry.
 struct State {
   util::Key128 sig;          ///< order-independent partial-schedule identity
   double g = 0.0;            ///< max finish time over scheduled nodes
@@ -73,9 +77,9 @@ inline State root_state() noexcept {
   return root;
 }
 
-/// Resident per-state record of the search loop. Exactly 24 bytes.
+/// Resident per-state record of the search loop. Exactly 16 bytes: f is
+/// not here, it rides in the state's frontier entry (core/frontier.hpp).
 struct HotState {
-  double f = 0.0;            ///< g + h, fixed at generation time
   double g = 0.0;
   StateIndex parent = kNoParent;
   std::uint32_t packed = 0;  ///< node:12 | proc:8 | depth:12
@@ -103,14 +107,9 @@ struct HotState {
   }
   std::uint32_t depth() const noexcept { return packed & kDepthMask; }
 
-  /// Heuristic value, recovered from the stored sum. Exact enough for the
-  /// FOCAL tie-break (its only consumer); pushes at generation time use the
-  /// generation-record h directly.
-  double h() const noexcept { return f - g; }
-
   bool is_root() const noexcept { return parent == kNoParent && depth() == 0; }
 };
-static_assert(sizeof(HotState) == 24, "hot state record must stay 24 bytes");
+static_assert(sizeof(HotState) == 16, "hot state record must stay 16 bytes");
 
 /// Generation/dedup/transfer/load-time field, kept off the pop path.
 struct ColdState {
@@ -154,8 +153,8 @@ class StateArena {
           static_cast<ColdState*>(::operator new(n * sizeof(ColdState))));
       ++segments_;
     }
-    ::new (&at(hot_, idx)) HotState{s.g + s.h, s.g, s.parent,
-                                    HotState::pack(s.node, s.proc, s.depth)};
+    ::new (&at(hot_, idx))
+        HotState{s.g, s.parent, HotState::pack(s.node, s.proc, s.depth)};
     ::new (&at(cold_, idx)) ColdState{s.sig};
     ++size_;
     return idx;
@@ -179,13 +178,6 @@ class StateArena {
   void prefetch_sig(StateIndex i) const noexcept {
     OPTSCHED_ASSERT(i < size_);
     __builtin_prefetch(&at(cold_, i).sig);
-  }
-
-  /// Re-derive f after recomputing h — used only to patch imported states
-  /// after a PPE transfer so re-sharing them sends the right bound.
-  void patch_h(StateIndex i, double h) {
-    OPTSCHED_ASSERT(i < size_);
-    at(hot_, i).f = at(hot_, i).g + h;
   }
 
   std::size_t size() const noexcept { return size_; }

@@ -158,7 +158,9 @@ class DistWorker {
     // Fast-drop a fully dominated frontier (everything >= incumbent).
     if (!open_->empty() && beaten(open_->min_f())) open_->clear();
     if (open_->empty()) return false;
-    out = open_->pop().index;
+    const core::OpenEntry e = open_->pop();
+    popped_f_ = e.f;
+    out = e.index;
     return true;
   }
 
@@ -196,9 +198,10 @@ class DistWorker {
   }
 
   /// Goals never enter OPEN (they are offered when generated or
-  /// imported), so the only filter is the live incumbent.
-  StepAction classify(StateIndex idx) const {
-    return beaten(arena_.hot(idx).f) ? StepAction::kSkip : StepAction::kExpand;
+  /// imported), so the only filter is the live incumbent, tested against
+  /// the popped entry's f.
+  StepAction classify(StateIndex) const {
+    return beaten(popped_f_) ? StepAction::kSkip : StepAction::kExpand;
   }
 
   void on_goal(StateIndex) {}  // unreachable: classify never says kGoal
@@ -328,7 +331,7 @@ class DistWorker {
     const StateIndex root_idx = arena_.add_root();
     if (owner_->owner(0) == rank_) {
       seen_.insert(arena_.sig(root_idx));
-      open_->push({arena_.hot(root_idx).f, 0.0, 0.0, root_idx});
+      open_->push({0.0, 0.0, 0.0, root_idx});
       max_open_ = open_->size();  // the root counts, as in serial A*
     }
   }
@@ -572,6 +575,7 @@ class DistWorker {
 
   StateArena arena_;
   std::optional<core::Frontier> open_;
+  double popped_f_ = 0.0;  ///< f of the entry pop() handed out last
   util::FlatSet128 seen_{16};
   std::vector<wire::BatchEncoder> enc_;     ///< per-owner pending batch
   std::vector<wire::SendFilter> send_filter_;  ///< per-owner shipped sigs

@@ -50,7 +50,7 @@ std::vector<OpenEntry> seed_expand(const SearchProblem& problem,
   seen.insert(arena.sig(root));
 
   OpenList frontier;
-  frontier.push({arena.hot(root).f, 0.0, root});
+  frontier.push({0.0, 0.0, root});
   for (std::size_t pops = 0;
        !frontier.empty() && frontier.size() < target && pops < max_pops;
        ++pops) {
@@ -154,7 +154,9 @@ class Ppe final : public PpeHost {
     if (!open_.empty() && dominated()) open_.clear();
     if (open_.empty()) return false;
     link_->mark_busy();
-    out = open_.pop().index;
+    const OpenEntry e = open_.pop();
+    popped_f_ = e.f;
+    out = e.index;
     return true;
   }
 
@@ -167,9 +169,10 @@ class Ppe final : public PpeHost {
   }
 
   StepAction classify(StateIndex idx) {
-    const core::HotState& s = arena_.hot(idx);
-    if (s.depth() == shared_.problem.num_nodes()) return StepAction::kGoal;
-    if (exact() && core::dominated(s.f, shared_.incumbent_bound(), 0.0, false))
+    if (arena_.hot(idx).depth() == shared_.problem.num_nodes())
+      return StepAction::kGoal;
+    if (exact() &&
+        core::dominated(popped_f_, shared_.incumbent_bound(), 0.0, false))
       return StepAction::kSkip;  // stale
     return StepAction::kExpand;
   }
@@ -216,16 +219,13 @@ class Ppe final : public PpeHost {
 
   StateIndex pop_best() override { return open_.pop().index; }
 
-  void push_index(StateIndex idx) override { open_.push(entry(idx)); }
+  void push(const Entry& e) override { open_.push(e); }
 
-  void push_batch(const std::vector<StateIndex>& indices) override {
-    std::vector<Frontier::Entry> entries;
-    entries.reserve(indices.size());
-    for (const StateIndex idx : indices) entries.push_back(entry(idx));
+  void push_batch(const std::vector<Entry>& entries) override {
     open_.push_batch(entries);
   }
 
-  std::vector<StateIndex> extract_surplus(std::size_t n) override {
+  std::vector<Entry> extract_surplus(std::size_t n) override {
     // Re-read the shared incumbent at extraction time: the donation band a
     // transport computed from an earlier frontier snapshot may predate a
     // bound tightened by another PPE's goal, and exact search must never
@@ -234,12 +234,12 @@ class Ppe final : public PpeHost {
                                             : kInf);
   }
 
-  std::vector<StateIndex> extract_best(std::size_t n) override {
+  std::vector<Entry> extract_best(std::size_t n) override {
     return open_.extract_best(n);
   }
 
-  StateMsg serialize(StateIndex idx) const override {
-    return {assignment_sequence(idx), arena_.hot(idx).f};
+  StateMsg serialize(const Entry& e) const override {
+    return {assignment_sequence(e.index), e.f};
   }
 
   /// Received states are always enqueued: the sender has dropped them
@@ -247,7 +247,7 @@ class Ppe final : public PpeHost {
   /// itself shipped away, so dropping one could orphan it. Complete
   /// schedules go to the incumbent.
   void import_batch(const std::vector<StateMsg>& msgs) override {
-    std::vector<Frontier::Entry> entries;
+    std::vector<Entry> entries;
     entries.reserve(msgs.size());
     for (const StateMsg& msg : msgs) {
       const SequenceReplay::Step& last = importer_.replay(msg);
@@ -262,8 +262,8 @@ class Ppe final : public PpeHost {
     open_.push_batch(entries);
   }
 
-  std::vector<StateIndex> expand_collect(StateIndex idx) override {
-    std::vector<StateIndex> children;
+  std::vector<Entry> expand_collect(StateIndex idx) override {
+    std::vector<Entry> children;
     LinkSeen seen{link_.get()};
     expander_.expand(arena_, seen, idx, prune_bound(),
                      [&](StateIndex child_idx, const State& child) {
@@ -271,7 +271,8 @@ class Ppe final : public PpeHost {
                          on_goal(child_idx);
                          return;
                        }
-                       children.push_back(child_idx);
+                       children.push_back({child.f(), child.g, child.h,
+                                           child_idx});
                      });
     shared_.total_expanded.fetch_add(1, std::memory_order_relaxed);
     return children;
@@ -300,11 +301,6 @@ class Ppe final : public PpeHost {
   };
 
   bool exact() const { return shared_.config.search.epsilon == 0.0; }
-
-  Frontier::Entry entry(StateIndex idx) const {
-    const core::HotState& s = arena_.hot(idx);
-    return {s.f, s.g, s.h(), idx};
-  }
 
   double prune_bound() const {
     return core::prune_bound(shared_.config.search.prune,
@@ -342,6 +338,7 @@ class Ppe final : public PpeHost {
   Frontier open_;
   std::unique_ptr<PpeLink> link_;
   core::ProgressGate progress_gate_;
+  double popped_f_ = 0.0;  ///< f of the entry pop() handed out last
 };
 
 void Ppe::initial_distribution() {
@@ -368,9 +365,9 @@ void Ppe::initial_distribution() {
       [&](StateIndex idx) { on_goal(idx); });
 
   for (std::size_t j = 0; j < entries.size(); ++j) {
-    if (shared_.transport->seed_owner(j, arena_.sig(entries[j].index)) ==
-        id_)
-      open_.push(entry(entries[j].index));
+    const OpenEntry& e = entries[j];
+    if (shared_.transport->seed_owner(j, arena_.sig(e.index)) == id_)
+      open_.push({e.f, e.g, e.f - e.g, e.index});  // the seed heap keeps no h
   }
   link_->publish(open_.min_f(), open_.size());
 }

@@ -202,7 +202,6 @@ class Importer {
     ctx_.move_to(arena_, idx);
     const double h =
         core::evaluate_h(h_, ctx_.problem(), ctx_.view(), scratch_.data());
-    arena_.patch_h(idx, h);  // so re-sharing this state sends the right f
     const double g = last_.g;
     OPTSCHED_ASSERT(std::abs((g + h) - msg.f) < 1e-6);
     return {g + h, g, h, idx};

@@ -115,11 +115,11 @@ class RingLink final : public PpeLink {
       // Scatter children: self first, then neighbours round-robin.
       std::uint32_t cursor = 0;
       std::vector<std::vector<StateMsg>> outbound(neighbors.size());
-      for (const core::StateIndex idx : children) {
+      for (const PpeHost::Entry& e : children) {
         if (cursor == 0) {
-          host.push_index(idx);
+          host.push(e);
         } else {
-          outbound[cursor - 1].push_back(host.serialize(idx));
+          outbound[cursor - 1].push_back(host.serialize(e));
         }
         cursor =
             (cursor + 1) % (static_cast<std::uint32_t>(neighbors.size()) + 1);
@@ -146,8 +146,8 @@ class RingLink final : public PpeLink {
         const auto extracted =
             host.extract_surplus(std::min<std::size_t>(surplus, 256));
         std::vector<std::vector<StateMsg>> outbound(deficit.size());
-        for (const core::StateIndex idx : extracted) {
-          outbound[rr_cursor_ % deficit.size()].push_back(host.serialize(idx));
+        for (const PpeHost::Entry& e : extracted) {
+          outbound[rr_cursor_ % deficit.size()].push_back(host.serialize(e));
           ++rr_cursor_;
         }
         for (std::size_t k = 0; k < deficit.size(); ++k)

@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/frontier.hpp"
 #include "core/state.hpp"
 #include "dag/graph.hpp"
 #include "machine/machine.hpp"
@@ -159,8 +160,15 @@ struct alignas(64) PpeStatus {
 /// The narrow view of one PPE's search state a transport manipulates.
 /// Implemented by the search worker (parallel_astar.cpp); every method is
 /// called from that PPE's own thread.
+///
+/// States move as frontier entries (arena index, f, g, h): a state's f is
+/// stored in its entry and nowhere in the arena (core/state.hpp), so a
+/// transport forwards the entries it holds, back onto the frontier or
+/// into serialize().
 class PpeHost {
  public:
+  using Entry = core::Frontier::Entry;
+
   virtual ~PpeHost() = default;
 
   virtual std::uint32_t id() const = 0;
@@ -170,25 +178,25 @@ class PpeHost {
   virtual bool dominated() const = 0;
 
   virtual core::StateIndex pop_best() = 0;  ///< precondition: nonempty
-  virtual void push_index(core::StateIndex idx) = 0;
-  /// Batched push of local arena indices (core::Frontier::push_batch: one
-  /// heapify for the heap).
-  virtual void push_batch(const std::vector<core::StateIndex>& indices) = 0;
+  virtual void push(const Entry& e) = 0;
+  /// Batched push (core::Frontier::push_batch: one heapify for the heap).
+  virtual void push_batch(const std::vector<Entry>& entries) = 0;
   /// Remove up to n entries biased away from the best (ring load sharing).
-  virtual std::vector<core::StateIndex> extract_surplus(std::size_t n) = 0;
+  virtual std::vector<Entry> extract_surplus(std::size_t n) = 0;
   /// Remove the n best-f entries (work-stealing donations).
-  virtual std::vector<core::StateIndex> extract_best(std::size_t n) = 0;
+  virtual std::vector<Entry> extract_best(std::size_t n) = 0;
 
-  /// Self-contained message for a local state (assignment-sequence walk).
-  virtual StateMsg serialize(core::StateIndex idx) const = 0;
+  /// Self-contained message for a local state (assignment-sequence walk)
+  /// carrying the entry's f.
+  virtual StateMsg serialize(const Entry& e) const = 0;
   /// Replay received states into the local arena and batch-push them onto
   /// the frontier; complete schedules are offered to the shared incumbent.
   virtual void import_batch(const std::vector<StateMsg>& msgs) = 0;
   /// Expand a state immediately (ring's neighbourhood election), returning
-  /// the surviving non-goal children's arena indices; goals are offered to
-  /// the shared incumbent internally. Counts as a normal expansion.
-  virtual std::vector<core::StateIndex> expand_collect(
-      core::StateIndex idx) = 0;
+  /// the surviving non-goal children's generation-time entries; goals are
+  /// offered to the shared incumbent internally. Counts as a normal
+  /// expansion.
+  virtual std::vector<Entry> expand_collect(core::StateIndex idx) = 0;
 };
 
 /// One PPE's endpoint into the transport. Constructed by

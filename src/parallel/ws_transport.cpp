@@ -47,21 +47,21 @@ class WsLink final : public PpeLink {
   void on_empty(PpeHost& host) override {
     publish(host.frontier_min_f(), host.frontier_size());
 
-    // 1) Reclaim the own deque — by arena index, no replay needed.
+    // 1) Reclaim the own deque — by frontier entry, no replay needed.
     auto& own = t_.deques_[id_];
     if (own.size.load(std::memory_order_acquire) != 0) {
       mark_busy();  // before removal: keeps quiescence detection sound
-      std::vector<core::StateIndex> indices;
+      std::vector<PpeHost::Entry> entries;
       {
         const std::lock_guard<std::mutex> lock(own.mu);
-        indices.reserve(own.items.size());
-        for (const Donation& d : own.items) indices.push_back(d.local_index);
+        entries.reserve(own.items.size());
+        for (const Donation& d : own.items) entries.push_back(d.entry);
         own.items.clear();
         own.size.store(0, std::memory_order_release);
         own.bytes.store(deque_bytes(own.items), std::memory_order_relaxed);
       }
-      if (!indices.empty()) {
-        host.push_batch(indices);
+      if (!entries.empty()) {
+        host.push_batch(entries);
         return;
       }
     }
@@ -127,17 +127,13 @@ class WsLink final : public PpeLink {
     if (best.empty()) return;
     std::vector<Donation> adds;
     adds.reserve(best.size());
-    for (const core::StateIndex idx : best) {
-      StateMsg msg = host.serialize(idx);
-      const double f = msg.f;
-      adds.push_back({std::move(msg), f, idx});
-    }
+    for (const PpeHost::Entry& e : best) adds.push_back({host.serialize(e), e});
     {
       const std::lock_guard<std::mutex> lock(own.mu);
       for (auto& d : adds) own.items.push_back(std::move(d));
       std::stable_sort(own.items.begin(), own.items.end(),
                        [](const Donation& a, const Donation& b) {
-                         return a.f > b.f;  // best-f block is the suffix
+                         return a.entry.f > b.entry.f;  // best-f suffix
                        });
       own.size.store(own.items.size(), std::memory_order_release);
       own.bytes.store(deque_bytes(own.items), std::memory_order_relaxed);

@@ -132,12 +132,12 @@ class ShardedSignatureTable {
   std::uint64_t mask_ = 0;
 };
 
-/// One serialized state parked for stealing. The owner keeps its arena
-/// index so reclaiming its own deque needs no replay.
+/// One serialized state parked for stealing. The owner keeps its
+/// frontier entry (entry.f == msg.f) so reclaiming its own deque needs no
+/// replay.
 struct Donation {
   StateMsg msg;
-  double f = 0.0;
-  core::StateIndex local_index = core::kNoParent;
+  PpeHost::Entry entry;
 };
 
 /// One PPE's public work window. `items` is kept sorted by f descending,

@@ -101,9 +101,10 @@ TEST(AStar, TimeLimitReturnsValidIncumbent) {
 }
 
 TEST(AStar, MemoryCapAboveTheIndexClosedPeakProves) {
-  // Accounted peak of this solve: 20.8 MiB with CLOSED holding 8-byte
-  // arena indices (4 MiB at 2^19 slots), 24.8 MiB when CLOSED held the
-  // 16-byte signatures — which stopped it unproved under a 22 MiB cap.
+  // Accounted peak of this solve: 14.4 MiB with 32-byte states and CLOSED
+  // holding 8-byte arena indices (4 MiB at 2^19 slots); 24.8 MiB when
+  // CLOSED held the 16-byte signatures — which stopped it unproved under
+  // a 22 MiB cap.
   dag::RandomDagParams p;
   p.num_nodes = 10;
   p.ccr = 10.0;
@@ -119,7 +120,7 @@ TEST(AStar, MemoryCapAboveTheIndexClosedPeakProves) {
 
   // Below the peak the cap still ends the search as a typed, unproved
   // memory-limit result carrying a valid schedule.
-  cfg.max_memory_bytes = std::size_t{16} << 20;
+  cfg.max_memory_bytes = std::size_t{12} << 20;
   const auto capped = astar_schedule(g, m, cfg);
   EXPECT_FALSE(capped.proved_optimal);
   EXPECT_EQ(capped.reason, Termination::kMemoryLimit);

@@ -384,6 +384,47 @@ TEST(Frontier, FocalPopSequenceFollowsTheRule) {
   EXPECT_EQ(focal.min_f(), std::numeric_limits<double>::infinity());
 }
 
+/// A state's f lives only in its frontier entry, so whatever leaves the
+/// frontier for another PPE must carry it: the entries extract_surplus
+/// and extract_best return hold the f and g pushed for their index, the
+/// FOCAL set's the h as well, and the heap's and the bucket queue's h is
+/// f - g.
+TEST(Frontier, ExtractedEntriesCarryThePushedValues) {
+  Frontier heap(grid(1), QueueChoice{}, 0.0);
+  Frontier bucket(grid(1), QueueChoice{true, "", 400.0}, 0.0);
+  Frontier focal(grid(1), QueueChoice{}, 0.2);
+  util::Rng rng(31);
+  std::vector<Frontier::Entry> pushed;
+  for (StateIndex i = 0; i < 300; ++i) {
+    const double g = static_cast<double>(rng.uniform_u64(0, 200)) / 2.0;
+    const double h = static_cast<double>(rng.uniform_u64(0, 200)) / 2.0 + 0.25;
+    // f stays on the bucket queue's 0.5 grid; h is off it, so h != f - g.
+    pushed.push_back({g + h + 0.25, g, h, i});
+  }
+  for (Frontier* fr : {&heap, &bucket, &focal}) {
+    for (const Frontier::Entry& e : pushed) fr->push(e);
+    const bool keeps_h = fr == &focal;
+    std::size_t seen = 0;
+    const auto check = [&](const std::vector<Frontier::Entry>& out) {
+      for (const Frontier::Entry& e : out) {
+        const Frontier::Entry& want = pushed.at(e.index);
+        EXPECT_EQ(e.f, want.f) << fr->queue_kind() << " index " << e.index;
+        EXPECT_EQ(e.g, want.g) << fr->queue_kind() << " index " << e.index;
+        EXPECT_EQ(e.h, keeps_h ? want.h : e.f - e.g)
+            << fr->queue_kind() << " index " << e.index;
+        ++seen;
+      }
+    };
+    const auto surplus = fr->extract_surplus(40);
+    EXPECT_FALSE(surplus.empty()) << fr->queue_kind();
+    check(surplus);
+    const auto best = fr->extract_best(25);
+    EXPECT_EQ(best.size(), 25u) << fr->queue_kind();
+    check(best);
+    EXPECT_EQ(fr->size() + seen, pushed.size()) << fr->queue_kind();
+  }
+}
+
 TEST(BucketQueue, AdmissibleRejectsBadScalesAndSpans) {
   KeyScale bad;
   bad.exact = false;

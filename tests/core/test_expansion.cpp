@@ -37,7 +37,11 @@ struct Fixture {
   std::vector<StateIndex> expand(StateIndex idx, double bound = kInf) {
     std::vector<StateIndex> kids;
     expander.expand(arena, seen, idx, bound,
-                    [&](StateIndex k, const State&) { kids.push_back(k); });
+                    [&](StateIndex k, const State& s) {
+                      kids.push_back(k);
+                      if (h.size() <= k) h.resize(k + 1, 0.0);
+                      h[k] = s.h;
+                    });
     return kids;
   }
 
@@ -49,6 +53,7 @@ struct Fixture {
   StateArena arena;
   util::FlatSet128 seen;
   StateIndex root;
+  std::vector<double> h;  ///< generation-time h by arena index
 };
 
 TEST(Expansion, RootOfPaperExampleGeneratesOneState) {
@@ -88,7 +93,7 @@ TEST(Expansion, SecondLevelOfPaperExampleGeneratesFourStates) {
       const HotState& s = fx.arena.hot(k);
       if (s.node() == e.node && s.proc() == e.proc) {
         EXPECT_DOUBLE_EQ(s.g, e.g);
-        EXPECT_DOUBLE_EQ(s.h(), e.h);
+        EXPECT_DOUBLE_EQ(fx.h[k], e.h);
         found = true;
       }
     }

@@ -28,7 +28,6 @@ State make_state(std::uint32_t i) {
 void expect_round_trip(const StateArena& arena, std::uint32_t i) {
   const State s = make_state(i);
   const HotState& h = arena.hot(i);
-  EXPECT_EQ(h.f, s.g + s.h) << "index " << i;
   EXPECT_EQ(h.g, s.g) << "index " << i;
   EXPECT_EQ(h.parent, s.parent) << "index " << i;
   EXPECT_EQ(h.node(), s.node) << "index " << i;
@@ -104,15 +103,6 @@ TEST(StateArena, TruncateThenAddReusesIndices) {
   // A cut at or above the size is a no-op.
   arena.truncate(arena.size() + 10);
   EXPECT_EQ(arena.size(), 6000u);
-}
-
-TEST(StateArena, PatchHRewritesOnlyF) {
-  StateArena arena;
-  for (std::uint32_t i = 0; i < 2000; ++i) arena.add(make_state(i));
-  arena.patch_h(1500, 3.0);
-  EXPECT_EQ(arena.hot(1500).f, arena.hot(1500).g + 3.0);
-  EXPECT_EQ(arena.hot(1500).g, make_state(1500).g);
-  expect_round_trip(arena, 1499);
 }
 
 TEST(StateArena, MovedFromArenaIsEmpty) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "core/astar.hpp"
@@ -120,28 +121,25 @@ class FakeHost final : public PpeHost {
     frontier_.erase(frontier_.begin());
     return idx;
   }
-  void push_index(core::StateIndex) override {}
-  void push_batch(const std::vector<core::StateIndex>& indices) override {
-    reclaimed.insert(reclaimed.end(), indices.begin(), indices.end());
+  void push(const Entry&) override {}
+  void push_batch(const std::vector<Entry>& entries) override {
+    for (const Entry& e : entries) reclaimed.push_back(e.index);
   }
-  std::vector<core::StateIndex> extract_surplus(std::size_t) override {
-    return {};
-  }
-  std::vector<core::StateIndex> extract_best(std::size_t n) override {
+  std::vector<Entry> extract_surplus(std::size_t) override { return {}; }
+  std::vector<Entry> extract_best(std::size_t n) override {
     // Arena index i encodes f = i (states are their own f labels).
-    std::vector<core::StateIndex> out;
-    while (out.size() < n && !frontier_.empty()) out.push_back(pop_best());
+    std::vector<Entry> out;
+    while (out.size() < n && !frontier_.empty()) {
+      const core::StateIndex idx = pop_best();
+      out.push_back({static_cast<double>(idx), 0.0, 0.0, idx});
+    }
     return out;
   }
-  StateMsg serialize(core::StateIndex idx) const override {
-    return {{}, static_cast<double>(idx)};
-  }
+  StateMsg serialize(const Entry& e) const override { return {{}, e.f}; }
   void import_batch(const std::vector<StateMsg>& msgs) override {
     for (const auto& m : msgs) imported.push_back(m.f);
   }
-  std::vector<core::StateIndex> expand_collect(core::StateIndex) override {
-    return {};
-  }
+  std::vector<Entry> expand_collect(core::StateIndex) override { return {}; }
 
   std::vector<double> imported;
   std::vector<core::StateIndex> reclaimed;
@@ -224,7 +222,7 @@ TEST(WorkStealing, OwnerReclaimsItsOwnDequeByIndexWithoutReplay) {
   EXPECT_EQ(owner.frontier_size(), 6u);
 
   // Frontier drains; the owner's on_empty takes its own donations back as
-  // local arena indices (no import/replay). Order is immaterial — the
+  // local frontier entries (no import/replay). Order is immaterial — the
   // receiver re-heapifies the batch.
   owner_link->on_empty(owner);
   std::sort(owner.reclaimed.begin(), owner.reclaimed.end());
@@ -302,6 +300,40 @@ TEST(WorkStealingSearch, EpsilonVariantBoundHolds) {
     EXPECT_LE(r.result.makespan, 1.2 * opt + 1e-9) << seed;
     EXPECT_GE(r.result.makespan, opt - 1e-9) << seed;
     EXPECT_NO_THROW(sched::validate(r.result.schedule));
+  }
+}
+
+/// Aε* states cross PPEs as FOCAL entries: ring load sharing and ws
+/// donations take them out of the FOCAL set, serialize ships the entry's
+/// f, and the importer aborts unless the f it recomputes agrees. Both
+/// transports must move states and still prove the (1+ε) bound.
+TEST(TransportEpsilon, TransferredFocalEntriesKeepTheBound) {
+  for (const TransportMode mode :
+       {TransportMode::kRing, TransportMode::kWorkStealing}) {
+    for (std::uint64_t seed : {1u, 3u}) {
+      dag::RandomDagParams p;
+      p.num_nodes = 10;
+      p.ccr = 1.0;
+      p.seed = seed;
+      const auto g = dag::random_dag(p);
+      const auto m = Machine::fully_connected(3);
+      const core::SearchProblem problem(g, m);
+      const double opt = core::astar_schedule(problem).makespan;
+
+      ParallelConfig cfg;
+      cfg.mode = mode;
+      cfg.num_ppes = 3;
+      cfg.search.epsilon = 0.2;
+      const auto r = parallel_astar_schedule(problem, cfg);
+      const std::string label =
+          std::string(to_string(mode)) + " seed " + std::to_string(seed);
+      EXPECT_GT(r.par_stats.states_transferred, 0u) << label;
+      EXPECT_TRUE(r.result.proved_optimal) << label;
+      EXPECT_EQ(r.result.reason, core::Termination::kBoundedOptimal) << label;
+      EXPECT_LE(r.result.makespan, 1.2 * opt + 1e-9) << label;
+      EXPECT_GE(r.result.makespan, opt - 1e-9) << label;
+      EXPECT_NO_THROW(sched::validate(r.result.schedule)) << label;
+    }
   }
 }
 
